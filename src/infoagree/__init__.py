@@ -7,11 +7,10 @@ continuity so that matrices containing zeros get a value too. An epsilon
 oracle evaluates the defining limit numerically and double-checks the
 closed form.
 
-The hot x*log2(x) kernel runs compiled when the extension built from
-_ckernels.pyx is present, and on NumPy otherwise; KERNEL_BACKEND says which.
+The package is pure Python on NumPy; the hot x*log2(x) kernel is one NumPy
+routine. KERNEL_BACKEND names that only backend and is always "python".
 """
 
-from infoagree._kernels import BACKEND as KERNEL_BACKEND
 from infoagree.errors import (
     AllZeroError,
     ContainsZeroError,
@@ -59,6 +58,9 @@ from infoagree.oracle import (
 )
 
 __version__ = "0.1.0"
+
+KERNEL_BACKEND = "python"
+"""The only numeric backend (NumPy); kept because benchmark results record it."""
 
 __all__ = [
     "AgreementMatrix",

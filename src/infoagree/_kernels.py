@@ -1,30 +1,24 @@
-"""Kernel backend selection.
+"""The hot numeric kernel: the x*log2(x) sum over count and probability vectors.
 
-Prefers the compiled extension built from _ckernels.pyx and falls back to
-the NumPy implementation when the extension is missing. Set
-INFOAGREE_PURE_PYTHON=1 to skip the extension even when it is installed
-(useful for fallback testing and benchmarking).
-
-Call sites go through this module's attributes (``_kernels.xlog2_sum``)
-rather than binding the function directly, so benchmarks can swap backends.
+Call sites look the kernel up at call time as ``_kernels.xlog2_sum(...)``
+instead of binding it with ``from infoagree._kernels import xlog2_sum``, so
+a wrapper installed on this module attribute (the benchmark's layer tracer
+does this) sees every call.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-if os.environ.get("INFOAGREE_PURE_PYTHON"):
-    from infoagree import _pykernels as _impl
 
-    BACKEND = "python"
-else:
-    try:
-        from infoagree import _ckernels as _impl  # type: ignore[no-redef]
+def xlog2_sum(values: np.ndarray) -> float:
+    """Sum of v * log2(v) over the strictly positive entries of ``values``.
 
-        BACKEND = "compiled"
-    except ImportError:
-        from infoagree import _pykernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "python"
-
-xlog2_sum = _impl.xlog2_sum
+    Entries <= 0 contribute nothing; validating that they are legitimate
+    (structural zeros rather than bad data) is the caller's job.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    v = v[v > 0.0]
+    if v.size == 0:
+        return 0.0
+    return float(v @ np.log2(v))

@@ -168,19 +168,22 @@ def _cmd_batch(args) -> int:
         if name.lower().endswith((".csv", ".json"))
     )
     lines = []
-    all_ok = True
+    code = EXIT_OK
     for name in names:
         path = os.path.join(args.directory, name)
         try:
             doc = load_document(path, args.format)
             result = ia_epsilon(doc.matrix)
             record = build_report(doc, result, version=__version__)
+        except InternalInvariantError as exc:
+            record = error_record(path, exc)
+            code = EXIT_INTERNAL
         except (InfoAgreeError, OSError) as exc:
             record = error_record(path, exc)
-            all_ok = False
+            code = max(code, EXIT_INPUT)
         lines.append(dump_json(record, indent=None))
     _write_output("".join(line + "\n" for line in lines), args.output)
-    return EXIT_OK if all_ok else EXIT_INPUT
+    return code
 
 
 def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:

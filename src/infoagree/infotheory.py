@@ -168,9 +168,20 @@ def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | No
             raise InconsistentTotalError(
                 f"weights sum to {exact_sum!r}, stated total is {c!r}"
             )
-    if w.size == 1:
+    return _count_entropy(w, w.size, c)
+
+
+def _count_entropy(counts: np.ndarray, support: int, total: float) -> float:
+    """Entropy in bits of a count vector, by entropy_from_counts' identity.
+
+    The one implementation of that identity, shared with measure.ia_epsilon,
+    which passes counts straight from a validated matrix. Zero counts are
+    structural and contribute nothing; ``support`` is the number of positive
+    counts and ``total`` their sum. A support of 1 is exactly 0 bits.
+    """
+    if support == 1:
         return 0.0
-    h = math.log2(c) - _kernels.xlog2_sum(w) / c
+    h = math.log2(total) - _kernels.xlog2_sum(counts) / total
     return _finalize_entropy(h)
 
 

@@ -11,23 +11,18 @@ oracle.py evaluates numerically everywhere else.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from infoagree import _kernels, infotheory
+from infoagree import infotheory
 from infoagree.errors import ContainsZeroError, InternalInvariantError
 from infoagree.matrix import AgreementMatrix
 
 ROUNDING_TOL = 1e-9
 """Largest excursion outside [0, 1] absorbed by clamping; beyond this the
 value is treated as an internal invariant violation, not rounding."""
-
-DEGENERATE_ENTROPY_TOL = 1e-12
-"""Sanity bound: a structurally degenerate matrix must also have a
-numerically vanishing refined marginal entropy."""
 
 
 class IaCase(Enum):
@@ -82,8 +77,8 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
     Degeneracy is detected structurally (exactly one non-null column or
     row) rather than by comparing a float entropy with zero; in those cases
     the value is the exact ratio (n - m) / n or (n - l) / n. Otherwise the
-    value comes from the refined entropies, which are computed from the
-    non-null count sums via H = log2(S) - (1/S) * sum(c * log2(c)).
+    value comes from the refined entropies, which are computed straight
+    from the non-null count sums (infotheory's count-entropy identity).
 
     The X-degenerate branch is checked first, and the tie H(X) = H(Y) falls
     to the Y-min branch (strict comparison); both choices change only the
@@ -97,16 +92,14 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
     m = int(np.count_nonzero(row_sums))
     l = int(np.count_nonzero(col_sums))
 
-    h_x = _entropy_of_count_sums(col_sums, l, total)
-    h_y = _entropy_of_count_sums(row_sums, m, total)
-    h_xy = _entropy_of_count_sums(cells, int(np.count_nonzero(cells)), total)
+    h_x = infotheory._count_entropy(col_sums, l, total)
+    h_y = infotheory._count_entropy(row_sums, m, total)
+    h_xy = infotheory._count_entropy(cells, int(np.count_nonzero(cells)), total)
 
     if l == 1:
-        assert h_x < DEGENERATE_ENTROPY_TOL, h_x
         value = (n - m) / n
         case = IaCase.DEGENERATE_X
     elif m == 1:
-        assert h_y < DEGENERATE_ENTROPY_TOL, h_y
         value = (n - l) / n
         case = IaCase.DEGENERATE_Y
     elif h_x < h_y:
@@ -117,24 +110,6 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
         case = IaCase.REGULAR_Y_MIN
 
     return IaResult(value=value, case=case, n=n, m=m, l=l, h_x=h_x, h_y=h_y, h_xy=h_xy)
-
-
-def _entropy_of_count_sums(values: np.ndarray, support: int, total: float) -> float:
-    """Refined entropy in bits of a count vector; zeros are structural and skipped.
-
-    Same identity as infotheory.entropy_from_counts, minus that function's
-    input validation: here the counts come from a validated matrix, and the
-    measure must stay total even where a redundant sum-consistency check
-    could trip over float rounding.
-    """
-    if support == 1:
-        return 0.0
-    h = math.log2(total) - _kernels.xlog2_sum(values) / total
-    if h < 0.0:
-        if h < -DEGENERATE_ENTROPY_TOL:
-            raise InternalInvariantError(f"refined entropy computed as {h!r}")
-        return 0.0
-    return h
 
 
 def _absorb_rounding(value: float) -> float:

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_real_ia_epsilon = infoagree.cli.ia_epsilon
+
+
+def _broken_on_total_5(matrix):
+    # stands in for a bug in the measure, hit by one file of a batch
+    if matrix.total == 5:
+        raise InternalInvariantError("forced for the test")
+    return _real_ia_epsilon(matrix)
+
+
 class TestCompute:
     def test_report_fields(self, capsys, table_csv):
         code, out, err = run(capsys, "compute", table_csv)
@@ -185,6 +195,28 @@ class TestExitCodes:
         code, out, err = run(capsys, "compute", table_csv)
         assert code == 2
         assert "internal error" in err
+
+    def test_batch_internal_error_exits_2_and_keeps_records(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "a.csv").write_text("1,1\n1,1\n")
+        (tmp_path / "b.csv").write_text("3,1\n0,1\n")
+        monkeypatch.setattr(infoagree.cli, "ia_epsilon", _broken_on_total_5)
+        code, out, _ = run(capsys, "batch", str(tmp_path))
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 2
+        assert "ia" in records[0]
+        assert records[1]["error"]["type"] == "InternalInvariantError"
+
+    def test_batch_internal_error_outranks_bad_input(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "a.csv").write_text("3,1\n0,1\n")
+        (tmp_path / "b.csv").write_text("0,0\n0,0\n")
+        monkeypatch.setattr(infoagree.cli, "ia_epsilon", _broken_on_total_5)
+        code, out, _ = run(capsys, "batch", str(tmp_path))
+        assert code == 2
+        types = [json.loads(line)["error"]["type"] for line in out.splitlines()]
+        assert types == ["InternalInvariantError", "AllZeroError"]
 
 
 class TestArgumentHandling:

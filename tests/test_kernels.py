@@ -1,5 +1,6 @@
-"""Backend parity: the compiled kernel and the NumPy fallback must agree."""
+"""The x*log2(x) kernel against an exact-summation reference."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,28 +8,36 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from infoagree import _kernels, _pykernels
-
-try:
-    from infoagree import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled kernel not built"
-)
+import infoagree
+from infoagree import _kernels
 
 
 def reference_xlog2_sum(values):
     return math.fsum(v * math.log2(v) for v in values if v > 0.0)
 
 
-def test_selected_backend_is_known():
-    assert _kernels.BACKEND in ("compiled", "python")
-    assert callable(_kernels.xlog2_sum)
+def test_backend_is_python():
+    # benchmark results record this constant; NumPy is the only backend
+    assert infoagree.KERNEL_BACKEND == "python"
 
 
-@pytest.mark.parametrize("impl", [_pykernels.xlog2_sum, _kernels.xlog2_sum])
+def _read_only_strided(kernel):
+    """Run ``kernel`` on a read-only, non-contiguous view of its input."""
+
+    @functools.wraps(kernel)
+    def wrapped(values):
+        padded = np.zeros(2 * len(values), dtype=np.float64)
+        padded[::2] = values
+        view = padded[::2]
+        view.setflags(write=False)
+        return kernel(view)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "impl", [_kernels.xlog2_sum, _read_only_strided(_kernels.xlog2_sum)]
+)
 def test_zeros_and_empty(impl):
     assert impl(np.array([], dtype=np.float64)) == 0.0
     assert impl(np.array([0.0, 0.0])) == 0.0
@@ -38,35 +47,6 @@ def test_zeros_and_empty(impl):
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=200))
 def test_python_kernel_matches_reference(values):
-    got = _pykernels.xlog2_sum(np.array(values, dtype=np.float64))
+    got = _kernels.xlog2_sum(np.array(values, dtype=np.float64))
     want = reference_xlog2_sum(values)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-@needs_compiled
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=200))
-def test_compiled_kernel_matches_reference(values):
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    got = _ckernels.xlog2_sum(arr)
-    want = reference_xlog2_sum(values)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-@needs_compiled
-def test_backends_agree_on_large_random_arrays():
-    rng = np.random.default_rng(1234)
-    for size in (1, 17, 1000, 250_000):
-        arr = rng.uniform(0.0, 50.0, size=size)
-        arr[rng.uniform(size=size) < 0.3] = 0.0
-        c = _ckernels.xlog2_sum(np.ascontiguousarray(arr))
-        p = _pykernels.xlog2_sum(arr)
-        assert c == pytest.approx(p, rel=1e-12, abs=1e-9)
-
-
-@needs_compiled
-def test_compiled_kernel_accepts_read_only_buffers():
-    arr = np.array([1.0, 2.0, 3.0])
-    arr.setflags(write=False)
-    assert _ckernels.xlog2_sum(arr) == pytest.approx(
-        _pykernels.xlog2_sum(arr), rel=1e-12
-    )
