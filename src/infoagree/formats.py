@@ -12,10 +12,14 @@ doubles exactly and keeps report bytes stable across runs.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from infoagree.errors import InternalInvariantError, ParseError
 from infoagree.matrix import AgreementMatrix
@@ -24,6 +28,8 @@ from infoagree.oracle import ConvergenceConfig, ConvergenceReport, EpsilonEvalua
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
+
+_INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -39,10 +45,68 @@ class MatrixDocument:
 def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     """Parse comma-separated nonnegative integer rows.
 
-    An optional first row of class labels is detected by containing any
-    field that does not parse as an integer. Decimal point "." and
-    separator "," are fixed; no locale handling.
+    Each cell is an optional sign followed by ASCII digits, with spaces
+    allowed around it. An optional first row of class labels is detected by
+    containing any field that is not such an integer; it must name exactly
+    n classes. Separator "," is fixed; no locale handling.
+
+    Text made only of ASCII digits, "," and "\n" after the label row, with
+    no empty field or interior blank line and a square body, is converted in
+    one vectorised call. Anything else goes through the per-field parser,
+    which reports the first error with its row and column.
     """
+    strict = _parse_csv_strict(text)
+    if strict is None:
+        return _parse_csv_slow(text, source_path)
+    counts, labels = strict
+    return MatrixDocument(
+        source_path=source_path,
+        format=CSV_FORMAT,
+        labels=labels,
+        matrix=AgreementMatrix(counts),
+    )
+
+
+def _parse_csv_strict(
+    text: str,
+) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """(counts, labels) for text in the strict grammar, else None."""
+    head, _, body = text.partition("\n")
+    fields = head.split(",")
+    labels: tuple[str, ...] | None = None
+    if any(not _is_integer_field(f) for f in fields):
+        # a label row must be exactly the first line as splitlines() sees it
+        if head.splitlines() != [head]:
+            return None
+        labels = tuple(f.strip() for f in fields)
+    else:
+        body = text
+    try:
+        raw = body.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # np.loadtxt rejects empty fields but skips blank lines, so those go here
+    if (
+        not raw
+        or raw.translate(None, b"0123456789,\n")
+        or raw.startswith(b"\n")
+        or b"\n\n" in raw
+    ):
+        return None
+    try:
+        counts = np.loadtxt(
+            io.BytesIO(raw), delimiter=",", dtype=np.uint64, comments=None, ndmin=2
+        )
+    except ValueError:  # an empty field, ragged rows, or a cell above 2**64 - 1
+        return None
+    n = counts.shape[0]
+    if counts.shape != (n, n) or (labels is not None and len(labels) != n):
+        return None
+    return counts, labels
+
+
+def _parse_csv_slow(text: str, source_path: str) -> MatrixDocument:
+    """Field-by-field parse_csv: the reference, and the path that locates errors."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -77,11 +141,14 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
             parsed_row.append(int(field))
         cells.append(parsed_row)
 
+    matrix = AgreementMatrix(cells)
+    if labels is not None and len(labels) != matrix.n:
+        raise ParseError(f"{len(labels)} labels for an n={matrix.n} matrix", row=1)
     return MatrixDocument(
         source_path=source_path,
         format=CSV_FORMAT,
         labels=labels,
-        matrix=AgreementMatrix(cells),
+        matrix=matrix,
     )
 
 
@@ -164,6 +231,13 @@ def document_to_json(doc: MatrixDocument) -> str:
 
 
 def _is_integer_field(field: str) -> bool:
+    """An optional sign and ASCII digits, after stripping surrounding spaces.
+
+    int() alone would also take "1_0" and non-ASCII digits such as "５"; it
+    still refuses more digits than sys.get_int_max_str_digits() allows.
+    """
+    if _INTEGER_FIELD.fullmatch(field.strip()) is None:
+        return False
     try:
         int(field)
     except ValueError:

@@ -1,10 +1,15 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from infoagree import __version__
+from infoagree import __version__, formats
 from infoagree.errors import (
     AllZeroError,
+    InfoAgreeError,
     InternalInvariantError,
     NegativeCellError,
     NotSquareError,
@@ -19,7 +24,7 @@ from infoagree.formats import (
     parse_csv,
     parse_json,
 )
-from infoagree.matrix import AgreementMatrix
+from infoagree.matrix import U64_MAX, AgreementMatrix
 from infoagree.measure import ia_epsilon
 
 
@@ -67,6 +72,110 @@ class TestParseCsv:
             parse_csv("1,-2\n3,4")
         with pytest.raises(NotSquareError):
             parse_csv("1,2,3\n4,5,6")
+
+    @pytest.mark.parametrize("labels", ["a,b,c", "a"])
+    def test_label_row_must_name_n_classes(self, labels):
+        with pytest.raises(ParseError) as exc:
+            parse_csv(labels + "\n1,2\n3,4\n")
+        assert exc.value.row == 1
+
+    def test_underscore_digits_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_csv("1,2\n1_0,4")
+        assert (exc.value.row, exc.value.col) == (2, 1)
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_csv("1,2\n3,\uff15")  # FULLWIDTH DIGIT FIVE
+        assert (exc.value.row, exc.value.col) == (2, 2)
+
+    def test_large_labelled_csv_takes_the_array_path(self, monkeypatch):
+        def refuse(text, source_path):
+            raise AssertionError("well-formed CSV fell back to the per-field parser")
+
+        monkeypatch.setattr(formats, "_parse_csv_slow", refuse)
+        n = 300
+        counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
+        text = ",".join(f"c{j}" for j in range(n)) + "\n"
+        text += "".join(",".join(map(str, row)) + "\n" for row in counts.tolist())
+        doc = parse_csv(text)
+        assert doc.labels == tuple(f"c{j}" for j in range(n))
+        assert np.array_equal(doc.matrix.counts, counts)
+
+
+def _outcome(parse, text):
+    """What a CSV parser makes of text: the document's fields, or the error's.
+
+    A warning, or an exception that is not an InfoAgreeError, fails the test.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = parse(text, "m.csv")
+    except InfoAgreeError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    counts = doc.matrix.counts
+    return doc.source_path, doc.format, doc.labels, counts.dtype, counts.tolist()
+
+
+# pieces spliced into generated texts to break the strict grammar
+_NOISE = [",", "\n", "\n\n", "\r\n", "\r", " ", "\t", "-", "+", "_", "0", "\uff15", "x", "\u2028"]
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(st.integers(2, 5))
+    width = draw(st.sampled_from([n] * 6 + [n + 1, max(n - 1, 1)]))
+    cells = st.integers(0, 20) | st.integers(0, 2**40)
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        rows[-1][-1] = draw(st.sampled_from([U64_MAX, U64_MAX + 1, 10**25]))
+    lines = [",".join(draw(st.sampled_from(["", "", "", "0"])) + str(v) for v in row) for row in rows]
+    n_labels = draw(st.sampled_from([None] * 3 + [width] * 3 + [width + 1, width - 1]))
+    if n_labels is not None:
+        lines.insert(0, ",".join(f"c{j}" for j in range(n_labels)))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(_NOISE)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+class TestCsvFastPathEquivalence:
+    """parse_csv must give what the per-field parser gives, or fail the same way."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("c0\n\n2", id="blank-line-after-labels"),
+            pytest.param("1,2\n\n3,4", id="interior-blank-line"),
+            pytest.param("1,2,\n3,4,", id="trailing-commas"),
+            pytest.param("1,2\n3,4,", id="trailing-comma-at-end"),
+            pytest.param(f"{U64_MAX},1\n1,0", id="cell-2**64-1"),
+            pytest.param(f"{U64_MAX + 1},1\n1,0", id="cell-2**64"),
+            pytest.param("\n".join([",".join(["1"] * 11)] * 10), id="10x11"),
+            pytest.param(" 1 , 2\n3,4", id="spaces"),
+            pytest.param("1,2\r\n3,4\r\n", id="crlf"),
+            pytest.param("a,b\r\n1,2\r\n3,4", id="crlf-after-labels"),
+            pytest.param("a\vb,c\n1,2\n3,4", id="line-break-inside-label-row"),
+            pytest.param("a,b\n", id="labels-only"),
+            pytest.param("\f5,1\n1,1", id="form-feed-before-first-cell"),
+            pytest.param("1" + "0" * 5000 + ",1\n1,1", id="5001-digit-cell"),
+        ],
+    )
+    def test_pinned_cases(self, text):
+        assert _outcome(parse_csv, text) == _outcome(formats._parse_csv_slow, text)
+
+    @given(csv_texts())
+    def test_generated_texts(self, text):
+        assert _outcome(parse_csv, text) == _outcome(formats._parse_csv_slow, text)
+
+    @given(st.text(alphabet="0123456789,\n\r -_a\uff15", max_size=40))
+    def test_arbitrary_texts(self, text):
+        assert _outcome(parse_csv, text) == _outcome(formats._parse_csv_slow, text)
 
 
 class TestParseJson:
