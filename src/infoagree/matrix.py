@@ -114,7 +114,8 @@ def _coerce_ndarray(arr: np.ndarray) -> np.ndarray:
         raise NotSquareError(f"matrix is {arr.shape[0]}x{arr.shape[1]}, not square")
     if not issubclass(arr.dtype.type, np.integer):
         raise NonIntegerCellError(f"cells must be integers, got dtype {arr.dtype}")
-    if arr.size and arr.min() < 0:
+    # only a signed dtype can hold a negative cell; unsigned input skips the scan
+    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
         y, x = np.argwhere(arr < 0)[0]
         raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
     return arr.astype(np.uint64)

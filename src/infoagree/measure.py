@@ -58,17 +58,29 @@ def ia_strict(matrix: AgreementMatrix) -> float:
 
     MI(X, Y) / min(H(X), H(Y)), evaluated as 1 + (H_max - H(XY)) / H_min.
     Raises ContainsZeroError if any cell is zero; use ia_epsilon then.
+
+    The entropies come from the normalised probability vectors (the same
+    arrays marginal_x, marginal_y and joint hold), not from the count
+    identity ia_epsilon uses, so the two stay independent computations.
     """
     if matrix.has_zero_cell():
         raise ContainsZeroError(
             "matrix contains zero cells; plain information agreement is "
             "undefined, use ia_epsilon"
         )
-    h_x = infotheory.shannon_entropy(infotheory.marginal_x(matrix))
-    h_y = infotheory.shannon_entropy(infotheory.marginal_y(matrix))
-    h_xy = infotheory.shannon_entropy(infotheory.joint(matrix))
+    total = float(matrix.total)
+    h_x = _entropy_of_shares(matrix.col_sums(), total)
+    h_y = _entropy_of_shares(matrix.row_sums(), total)
+    h_xy = _entropy_of_shares(matrix.counts.ravel(), total)
     h_lo, h_hi = sorted((h_x, h_y))
     return _absorb_rounding(1.0 + (h_hi - h_xy) / h_lo)
+
+
+def _entropy_of_shares(counts: np.ndarray, total: float) -> float:
+    """Shannon entropy of counts / total, checked as a probability vector."""
+    probs = counts.astype(np.float64) / total
+    infotheory._check_probabilities(probs)
+    return infotheory._probability_entropy(probs)
 
 
 def ia_epsilon(matrix: AgreementMatrix) -> IaResult:

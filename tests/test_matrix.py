@@ -83,6 +83,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.counts[0, 0] = 7
 
+        # uint64 input skips the negative scan but is still copied and frozen
+        big = 2**63 + 5
+        src = np.array([[big, 1], [2, 3]], dtype=np.uint64)
+        m = AgreementMatrix(src)
+        assert m.total == big + 6
+        assert not np.shares_memory(m.counts, src)
+        src[0, 0] = 99
+        assert int(m.counts[0, 0]) == big
+        with pytest.raises(ValueError):
+            m.counts[0, 0] = 7
+
 
 class TestSumsAndCounts:
     def test_row_sums(self):

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import agreement_matrices, count_grids, positive_matrices
-from infoagree.errors import ContainsZeroError
+from infoagree import infotheory, measure
+from infoagree.errors import ContainsZeroError, InternalInvariantError
+from infoagree.infotheory import joint, marginal_x, marginal_y, shannon_entropy
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import IaCase, ia_epsilon, ia_strict
 
@@ -54,6 +56,13 @@ def reference_ia_epsilon_base_e(m):
     return 1.0 + (hx - hxy) / hy
 
 
+def _value_or_error(fn):
+    try:
+        return fn()
+    except InternalInvariantError as e:
+        return f"InternalInvariantError: {e}"
+
+
 class TestIaStrict:
     def test_independence_gives_zero(self):
         assert ia_strict(AgreementMatrix([[1, 1], [1, 1]])) == pytest.approx(0.0, abs=1e-12)
@@ -72,6 +81,31 @@ class TestIaStrict:
     def test_matches_direct_definition(self, m):
         assert ia_strict(m) == pytest.approx(reference_ia_positive(m), abs=1e-11)
         assert 0.0 <= ia_strict(m) <= 1.0
+
+    @given(positive_matrices(max_cell=2**40))
+    def test_bit_identical_to_distribution_route(self, m):
+        # the public distributions are the reference the array route reproduces;
+        # near-independent matrices with large counts cancel below -ROUNDING_TOL
+        # (e.g. [[1, 2**30], [1, 2**30]]), and then both routes must raise alike
+        def reference():
+            h_x = shannon_entropy(marginal_x(m))
+            h_y = shannon_entropy(marginal_y(m))
+            h_xy = shannon_entropy(joint(m))
+            h_lo, h_hi = sorted((h_x, h_y))
+            return measure._absorb_rounding(1 + (h_hi - h_xy) / h_lo)
+
+        assert _value_or_error(lambda: ia_strict(m)) == _value_or_error(reference)
+
+    def test_skips_label_distributions_and_count_identity(self, monkeypatch):
+        m = AgreementMatrix(np.random.default_rng(300).integers(1, 10, size=(300, 300)))
+        expected = ia_strict(m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ia_strict must not call this")
+
+        for name in ("joint", "CategoricalDistribution", "_count_entropy"):
+            monkeypatch.setattr(infotheory, name, forbidden)
+        assert ia_strict(m) == expected
 
 
 class TestIaEpsilonExamples:
