@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 bad input or flags, 2 internal invariant violation,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -189,6 +190,10 @@ def _cmd_batch(args) -> int:
 def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
     if not (eps_from > 0.0 and eps_to > 0.0):
         raise InfoAgreeError("--eps-from and --eps-to must be positive")
+    # np.geomspace would warn and return NaNs for an infinite end point
+    for flag, value in (("--eps-from", eps_from), ("--eps-to", eps_to)):
+        if not math.isfinite(value):
+            raise InfoAgreeError(f"{flag} must be finite, got {value!r}")
     if steps < 1:
         raise InfoAgreeError("--eps-steps must be at least 1")
     if steps == 1:

@@ -52,10 +52,15 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
 
     Text made only of ASCII digits, "," and "\n" after the label row, with
     no empty field or interior blank line and a square body, is converted in
-    one vectorised call. Anything else goes through the per-field parser,
-    which reports the first error with its row and column.
+    one vectorised call; "\r\n" line ends count as "\n" when the text holds
+    no other "\r". Anything else goes through the per-field parser, which
+    reports the first error with its row and column.
     """
-    strict = _parse_csv_strict(text)
+    # the per-field parser keeps the original text, so its error positions
+    # do not depend on this rewrite; the "in" test spares LF-only text the
+    # slower replace scan
+    lf_text = text.replace("\r\n", "\n") if "\r" in text else text
+    strict = None if "\r" in lf_text else _parse_csv_strict(lf_text)
     if strict is None:
         return _parse_csv_slow(text, source_path)
     counts, labels = strict

@@ -115,27 +115,45 @@ def eval_ia_at(em: EpsilonMatrix) -> EpsilonEvaluation:
     normalize the cells to a joint distribution, take the three entropies,
     divide the mutual information by the smaller marginal entropy.
     """
-    s = float(em.cells.sum())
-    p = em.cells / s
+    p = np.empty_like(em.cells, dtype=np.float64)
+    return _evaluate(em.cells, em.epsilon, p, np.empty_like(p))
+
+
+def _evaluate(
+    cells: np.ndarray, epsilon: float, p: np.ndarray, plogp: np.ndarray
+) -> EpsilonEvaluation:
+    """eval_ia_at on strictly positive float cells, writing the joint
+    distribution into ``p`` and its ``p * log2 p`` terms into ``plogp``
+    (float64 buffers of the cells' shape and memory layout, overwritten;
+    the sums, and so the last bits, depend on that layout)."""
+    s = float(cells.sum())
+    np.divide(cells, s, out=p)
     p_x = p.sum(axis=0)
     p_y = p.sum(axis=1)
     h_x = float(-(p_x * np.log2(p_x)).sum())
     h_y = float(-(p_y * np.log2(p_y)).sum())
-    h_xy = float(-(p * np.log2(p)).sum())
+    np.log2(p, out=plogp)
+    plogp *= p
+    h_xy = float(-plogp.sum())
     value = (h_x + h_y - h_xy) / min(h_x, h_y)
     if not 0.0 <= value <= 1.0:
         if not -CANCELLATION_TOL <= value <= 1.0 + CANCELLATION_TOL:
             raise InternalInvariantError(f"epsilon-matrix agreement {value!r}")
         value = min(1.0, max(0.0, value))
     return EpsilonEvaluation(
-        epsilon=em.epsilon, ia_value=value, h_x=h_x, h_y=h_y, h_xy=h_xy
+        epsilon=epsilon, ia_value=value, h_x=h_x, h_y=h_y, h_xy=h_xy
     )
 
 
 def sweep(
     matrix: AgreementMatrix, eps_values: Sequence[float]
 ) -> list[EpsilonEvaluation]:
-    """Evaluate the measure at each epsilon, given in strictly decreasing order."""
+    """Evaluate the measure at each epsilon, given in strictly decreasing order.
+
+    Each result equals ``eval_ia_at(zero_freed(matrix, e))``. The whole grid
+    shares one float copy of the counts, whose zero cells are overwritten
+    with each epsilon in turn, and two scratch buffers of the same size.
+    """
     eps_list = [float(e) for e in eps_values]
     if not eps_list:
         raise EmptySweepError("no epsilon values to sweep")
@@ -145,7 +163,22 @@ def sweep(
     for prev, cur in zip(eps_list, eps_list[1:]):
         if cur >= prev:
             raise ValueError("epsilon values must be strictly decreasing")
-    return [eval_ia_at(zero_freed(matrix, e)) for e in eps_list]
+    # zero_freed's rejection of inf, made once: after the ordering check only
+    # the first point can be inf, and [1.0, inf] stays an ordering error
+    if not math.isfinite(eps_list[0]):
+        raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps_list[0]!r}")
+    # astype makes a fresh C- or F-contiguous array in the layout zero_freed
+    # gives, so its memory-order ravel is a view to write the zeros through
+    cells = matrix.counts.astype(np.float64)
+    flat = cells.ravel(order="K")
+    zeros = np.flatnonzero(flat == 0.0)
+    p = np.empty_like(cells)
+    plogp = np.empty_like(cells)
+    evaluations = []
+    for e in eps_list:
+        flat[zeros] = e
+        evaluations.append(_evaluate(cells, e, p, plogp))
+    return evaluations
 
 
 def check_convergence(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -119,6 +120,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--eps-from", "0", table_csv)
         assert code == 1
         assert "positive" in err
+
+    @pytest.mark.parametrize("flag", ["--eps-from", "--eps-to"])
+    def test_infinite_eps_bound_exits_1_without_warnings(self, capsys, table_csv, flag):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "sweep", flag, "inf", table_csv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} must be finite, got inf\n"
+        assert [w.category for w in caught] == []
 
     def test_reversed_grid_exits_1(self, capsys, table_csv):
         code, _, _ = run(capsys, "sweep", "--eps-from", "1e-12", "--eps-to", "1e-2", table_csv)

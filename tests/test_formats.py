@@ -90,17 +90,27 @@ class TestParseCsv:
         assert (exc.value.row, exc.value.col) == (2, 2)
 
     def test_large_labelled_csv_takes_the_array_path(self, monkeypatch):
-        def refuse(text, source_path):
-            raise AssertionError("well-formed CSV fell back to the per-field parser")
+        _check_array_path(monkeypatch, "\n")
 
-        monkeypatch.setattr(formats, "_parse_csv_slow", refuse)
-        n = 300
-        counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
-        text = ",".join(f"c{j}" for j in range(n)) + "\n"
-        text += "".join(",".join(map(str, row)) + "\n" for row in counts.tolist())
-        doc = parse_csv(text)
-        assert doc.labels == tuple(f"c{j}" for j in range(n))
-        assert np.array_equal(doc.matrix.counts, counts)
+    def test_large_labelled_crlf_csv_takes_the_array_path(self, monkeypatch):
+        _check_array_path(monkeypatch, "\r\n")
+
+
+def _check_array_path(monkeypatch, eol):
+    """A labelled 300x300 CSV with the given line ends parses without the
+    per-field parser."""
+
+    def refuse(text, source_path):
+        raise AssertionError("well-formed CSV fell back to the per-field parser")
+
+    monkeypatch.setattr(formats, "_parse_csv_slow", refuse)
+    n = 300
+    counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
+    text = ",".join(f"c{j}" for j in range(n)) + eol
+    text += "".join(",".join(map(str, row)) + eol for row in counts.tolist())
+    doc = parse_csv(text)
+    assert doc.labels == tuple(f"c{j}" for j in range(n))
+    assert np.array_equal(doc.matrix.counts, counts)
 
 
 def _outcome(parse, text):
@@ -134,7 +144,8 @@ def csv_texts(draw):
     n_labels = draw(st.sampled_from([None] * 3 + [width] * 3 + [width + 1, width - 1]))
     if n_labels is not None:
         lines.insert(0, ",".join(f"c{j}" for j in range(n_labels)))
-    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2, eol + " " + eol]))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         at = draw(st.integers(0, len(text)))
         if draw(st.booleans()):

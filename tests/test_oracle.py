@@ -6,8 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infoagree.oracle
-from helpers import agreement_matrices, positive_matrices, regular_matrix_with_zeros
-from infoagree.errors import EmptySweepError, NonPositiveEpsilonError
+from helpers import (
+    agreement_matrices,
+    count_grids,
+    positive_matrices,
+    regular_matrix_with_zeros,
+)
+from infoagree.errors import EmptySweepError, InfoAgreeError, NonPositiveEpsilonError
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import ia_epsilon, ia_strict
 from infoagree.oracle import (
@@ -21,6 +26,52 @@ from infoagree.oracle import (
 )
 
 TABLE_SHAPED = AgreementMatrix([[4, 0, 0], [6, 0, 0], [0, 0, 0]])
+
+INF = float("inf")
+NAN = float("nan")
+SWEEP_GRIDS = [DEFAULT_EPS_GRID, (1e-3,), tuple(np.geomspace(1e-1, 1e-14, 17))]
+
+
+@st.composite
+def sweep_matrices(draw):
+    """Matrices with and without zeros, degenerate ones and large cells, with
+    the counts held in C or Fortran order."""
+    kind = draw(st.sampled_from(["any", "positive", "large", "column", "row", "one-cell"]))
+    grid_bounds = {"any": {}, "positive": {"min_cell": 1}, "large": {"max_cell": 2**40}}
+    if kind in grid_bounds:
+        counts = np.array(draw(count_grids(**grid_bounds[kind])), dtype=np.uint64)
+    else:
+        n = draw(st.integers(2, 6))
+        counts = np.zeros((n, n), dtype=np.uint64)
+        at = draw(st.integers(0, n - 1))
+        if kind == "one-cell":
+            counts[at, draw(st.integers(0, n - 1))] = draw(st.integers(1, 2**40))
+        else:
+            line = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+            if kind == "column":
+                counts[:, at] = line
+            else:
+                counts[at, :] = line
+    if draw(st.booleans()):
+        counts = np.asfortranarray(counts)
+    return AgreementMatrix(counts)
+
+
+def _plain_entropies(m, eps):
+    """h_x, h_y and h_xy of the epsilon matrix by the plain expressions on
+    fresh arrays, the reference for the oracle's reused buffers."""
+    cells = m.counts.astype(np.float64)
+    cells[cells == 0.0] = eps
+    p = cells / float(cells.sum())
+    return tuple(float(-(q * np.log2(q)).sum()) for q in (p.sum(axis=0), p.sum(axis=1), p))
+
+
+def _outcome(run):
+    """The evaluations, or the class and message of the package error raised."""
+    try:
+        return run()
+    except InfoAgreeError as exc:
+        return type(exc), str(exc)
 
 
 class TestZeroFreed:
@@ -101,6 +152,40 @@ class TestSweep:
             sweep(TABLE_SHAPED, [1e-4, 1e-2])
         with pytest.raises(ValueError):
             sweep(TABLE_SHAPED, [1e-2, 1e-2])
+
+    @pytest.mark.parametrize(
+        "m", [TABLE_SHAPED, AgreementMatrix([[2, 1], [1, 2]])], ids=["zeros", "positive"]
+    )
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            ([], EmptySweepError, "no epsilon values to sweep"),
+            ([0.0], NonPositiveEpsilonError, "epsilon must be positive, got 0.0"),
+            ([NAN], NonPositiveEpsilonError, "epsilon must be positive, got nan"),
+            ([-1.0], NonPositiveEpsilonError, "epsilon must be positive, got -1.0"),
+            ([INF], NonPositiveEpsilonError, "epsilon must be positive, got inf"),
+            ([INF, 0.0], NonPositiveEpsilonError, "epsilon must be positive, got 0.0"),
+            ([INF, 1e-3], NonPositiveEpsilonError, "epsilon must be positive, got inf"),
+            ([1.0, INF], ValueError, "epsilon values must be strictly decreasing"),
+            ([INF, INF], ValueError, "epsilon values must be strictly decreasing"),
+            ([1e-2, 1e-2], ValueError, "epsilon values must be strictly decreasing"),
+            ([1e-4, 1e-2], ValueError, "epsilon values must be strictly decreasing"),
+        ],
+    )
+    def test_bad_grid_error_class_and_message(self, m, grid, error, message):
+        with pytest.raises(Exception) as exc:
+            sweep(m, grid)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @given(sweep_matrices(), st.sampled_from(SWEEP_GRIDS))
+    def test_equals_evaluating_each_epsilon_matrix(self, m, grid):
+        expected = _outcome(lambda: [eval_ia_at(zero_freed(m, e)) for e in grid])
+        assert _outcome(lambda: sweep(m, grid)) == expected
+        assert _outcome(lambda: sweep(m, grid)) == expected  # no state left behind
+        if isinstance(expected, list):
+            plain = [_plain_entropies(m, e) for e in grid]
+            assert [(ev.h_x, ev.h_y, ev.h_xy) for ev in expected] == plain
 
 
 class TestCheckConvergence:
