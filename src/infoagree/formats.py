@@ -16,6 +16,7 @@ import io
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -30,6 +31,9 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
+
+# the C string escaper behind json.dumps(str)
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,21 @@ def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
 
     Cells must be JSON integers; labels, when present, must be strings and
     match the matrix dimension.
+
+    A matrix that NumPy turns into one square integer array skips the
+    per-cell checks; anything else goes through them, which report the first
+    bad cell with its row and column.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ParseError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     if "matrix" not in obj:
@@ -176,15 +190,10 @@ def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
         raise ParseError('"matrix" must be an array of arrays')
     if not rows:
         raise ParseError('"matrix" is empty')
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"expected {width} values, found {len(row)}", row=i + 1)
-        for j, cell in enumerate(row):
-            if isinstance(cell, bool) or not isinstance(cell, int):
-                raise ParseError(
-                    f"cell is not an integer: {cell!r}", row=i + 1, col=j + 1
-                )
+    # np.array makes true and false 1 and 0, so text holding either goes cell by cell
+    counts = None if "true" in text or "false" in text else _square_int_array(rows)
+    if counts is None:
+        _check_json_cells(rows)
 
     labels: tuple[str, ...] | None = None
     if obj.get("labels") is not None:
@@ -201,8 +210,38 @@ def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
         source_path=source_path,
         format=JSON_FORMAT,
         labels=labels,
-        matrix=AgreementMatrix(rows),
+        matrix=AgreementMatrix(rows if counts is None else counts),
     )
+
+
+def _square_int_array(rows: list) -> np.ndarray | None:
+    """rows as one square int64 or uint64 array, else None.
+
+    Integer cells give int64, or uint64 when every cell is at least 2**63.
+    A float cell, a cell of 2**63 or more beside a smaller one, or a cell
+    outside both ranges gives float64 or object, which is never cast: such
+    rows give None, as ragged rows do.
+    """
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged, or nested deeper than NumPy's 64 dimensions
+        return None
+    if arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        return None
+    return arr
+
+
+def _check_json_cells(rows: list) -> None:
+    """Raise a ParseError at the first short row or non-integer cell."""
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"expected {width} values, found {len(row)}", row=i + 1)
+        for j, cell in enumerate(row):
+            if isinstance(cell, bool) or not isinstance(cell, int):
+                raise ParseError(
+                    f"cell is not an integer: {cell!r}", row=i + 1, col=j + 1
+                )
 
 
 def load_document(path: str, format: str | None = None) -> MatrixDocument:
@@ -219,8 +258,14 @@ def load_document(path: str, format: str | None = None) -> MatrixDocument:
             )
     if format not in (CSV_FORMAT, JSON_FORMAT):
         raise ParseError(f"unknown format {format!r}")
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb", buffering=0) as handle:  # unbuffered: one read of the whole file
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from None
+    if "\r" in text:  # the universal newlines of text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if format == CSV_FORMAT:
         return parse_csv(text, source_path=path)
     return parse_json(text, source_path=path)
@@ -330,53 +375,59 @@ def dump_json(value: Any, indent: int | None = 2) -> str:
 
 
 def _emit(value: Any, out: list[str], indent: int | None, level: int) -> None:
-    if value is None:
+    # exact str, dict and list first: an isinstance test against the Mapping
+    # ABC costs microseconds, and reports hold little else
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+        return
+    if kind is dict:
+        keyed = True
+    elif kind is list:
+        keyed = False
+    elif value is None:
         out.append("null")
-    elif isinstance(value, bool):
+        return
+    elif kind is bool:
         out.append("true" if value else "false")
+        return
     elif isinstance(value, int):
         out.append(str(value))
+        return
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise InternalInvariantError(f"non-finite number in report: {value!r}")
         out.append(format(value, ".17g"))
+        return
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_encode_str(value))
+        return
     elif isinstance(value, Mapping):
-        _emit_items(
-            [(json.dumps(str(k)) + ": ", v) for k, v in value.items()],
-            "{", "}", out, indent, level,
-        )
+        keyed = True
     elif isinstance(value, (list, tuple)):
-        _emit_items([("", v) for v in value], "[", "]", out, indent, level)
+        keyed = False
     else:
         raise InternalInvariantError(f"unserializable report value: {value!r}")
 
-
-def _emit_items(
-    items: list[tuple[str, Any]],
-    open_ch: str,
-    close_ch: str,
-    out: list[str],
-    indent: int | None,
-    level: int,
-) -> None:
-    if not items:
-        out.append(open_ch + close_ch)
+    if not value:
+        out.append("{}" if keyed else "[]")
         return
+    close = "}" if keyed else "]"
     if indent is None:
-        out.append(open_ch)
-        for i, (prefix, item) in enumerate(items):
-            if i:
-                out.append(", ")
-            out.append(prefix)
-            _emit(item, out, indent, level)
-        out.append(close_ch)
-        return
-    pad = " " * (indent * (level + 1))
-    out.append(open_ch + "\n")
-    for i, (prefix, item) in enumerate(items):
-        out.append(pad + prefix)
-        _emit(item, out, indent, level + 1)
-        out.append(",\n" if i + 1 < len(items) else "\n")
-    out.append(" " * (indent * level) + close_ch)
+        sep = ", "
+        out.append("{" if keyed else "[")
+    else:
+        pad = "\n" + " " * (indent * (level + 1))
+        sep = "," + pad
+        close = "\n" + " " * (indent * level) + close
+        out.append(("{" if keyed else "[") + pad)
+    if keyed:
+        for key, item in value.items():
+            out.append(_encode_str(str(key)) + ": ")
+            _emit(item, out, indent, level + 1)
+            out.append(sep)
+    else:
+        for item in value:
+            _emit(item, out, indent, level + 1)
+            out.append(sep)
+    out[-1] = close  # the separator after the last item

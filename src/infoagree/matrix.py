@@ -26,10 +26,6 @@ from infoagree.errors import (
 
 U64_MAX = 2**64 - 1
 
-# Float totals below this bound guarantee the exact uint64 accumulation
-# cannot wrap (float64 relative error is far smaller than the 4x headroom).
-_SAFE_FLOAT_TOTAL = float(2**62)
-
 
 class AgreementMatrix:
     """Immutable n-by-n matrix of nonnegative integer classification counts.
@@ -144,11 +140,18 @@ def _coerce_sequences(rows) -> np.ndarray:
 
 
 def _exact_total(arr: np.ndarray) -> int:
-    """Exact grand total with an overflow check on the 64-bit budget."""
-    approx = float(arr.sum(dtype=np.float64))
-    if approx < _SAFE_FLOAT_TOTAL:
+    """Exact grand total of a uint64 array with an overflow check on the
+    64-bit budget.
+
+    When size * max fits in 64 bits, no partial sum can wrap, so one uint64
+    sum is exact. Otherwise the high and low 32-bit halves of the cells are
+    summed apart; each of those sums is exact for up to 2**32 cells.
+    """
+    if int(arr.max()) <= U64_MAX // arr.size:
         return int(arr.sum(dtype=np.uint64))
-    exact = sum(int(v) for v in arr.ravel().tolist())
+    high = int((arr >> 32).sum(dtype=np.uint64))
+    low = int((arr & 0xFFFFFFFF).sum(dtype=np.uint64))
+    exact = (high << 32) + low
     if exact > U64_MAX:
         raise CountOverflowError(f"total count {exact} exceeds 64-bit range")
     return exact

@@ -84,6 +84,14 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["input"]["labels"] == ["pos", "neg"]
 
+    def test_non_utf8_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"\xff1,2\n3,4\n")
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: not UTF-8 text: byte 0 (invalid start byte)\n"
+
     def test_deterministic_output(self, capsys, table_csv):
         _, first, _ = run(capsys, "compute", table_csv)
         _, second, _ = run(capsys, "compute", table_csv)
@@ -178,6 +186,19 @@ class TestBatch:
         assert len(lines) == 3
         record = json.loads(lines[1])
         assert record["error"]["type"] == "AllZeroError"
+
+    def test_non_utf8_file_reported_inline(self, capsys, tmp_path):
+        (tmp_path / "a.csv").write_text("1,1\n1,1\n")
+        (tmp_path / "b.csv").write_bytes(b"\xff1,2\n3,4\n")
+        code, out, _ = run(capsys, "batch", str(tmp_path))
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 2
+        assert "ia" in records[0]
+        assert records[1]["error"] == {
+            "type": "ParseError",
+            "message": "not UTF-8 text: byte 0 (invalid start byte)",
+        }
 
     def test_empty_directory(self, capsys, tmp_path):
         code, out, _ = run(capsys, "batch", str(tmp_path))

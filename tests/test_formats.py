@@ -1,5 +1,10 @@
 import json
+import os
+import sys
+import tempfile
 import warnings
+from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +25,14 @@ from infoagree.formats import (
     build_report,
     document_to_json,
     dump_json,
+    error_record,
     load_document,
     parse_csv,
     parse_json,
 )
 from infoagree.matrix import U64_MAX, AgreementMatrix
 from infoagree.measure import ia_epsilon
+from infoagree.oracle import ConvergenceConfig, check_convergence, sweep
 
 
 class TestParseCsv:
@@ -228,6 +235,116 @@ class TestParseJson:
         with pytest.raises(NegativeCellError):
             parse_json('{"matrix": [[1,-2],[3,4]]}')
 
+    def test_integer_beyond_the_digit_limit_is_a_parse_error(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ParseError) as exc:
+            parse_json('{"matrix": [[1' + "0" * (digits - 1) + ", 1], [1, 1]]}")
+        assert str(exc.value) == (
+            f"invalid JSON: an integer has more than {digits - 1} digits"
+        )
+
+    def test_deep_nesting_is_a_parse_error(self):
+        depth = 10**5
+        with pytest.raises(ParseError) as exc:
+            parse_json('{"matrix": ' + "[" * depth + "]" * depth + "}")
+        assert str(exc.value) == "invalid JSON: arrays or objects nested too deeply"
+
+    def test_large_labelled_json_takes_the_array_path(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("well-formed JSON fell back to the per-cell checks")
+
+        monkeypatch.setattr(formats, "_check_json_cells", refuse)
+        n = 300
+        counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
+        labels = [f"c{j}" for j in range(n)]
+        doc = parse_json(json.dumps({"labels": labels, "matrix": counts.tolist()}))
+        assert doc.labels == tuple(labels)
+        assert np.array_equal(doc.matrix.counts, counts)
+        assert doc.matrix.counts.dtype == np.uint64
+
+
+def _parse_json_per_cell(text, source_path):
+    """parse_json with the array attempt switched off: the per-cell reference."""
+    with mock.patch.object(formats, "_square_int_array", lambda rows: None):
+        return parse_json(text, source_path)
+
+
+_JSON_CELLS = (
+    st.integers(0, 20)
+    | st.integers(-3, 2**40)
+    | st.sampled_from([2**63 - 1, 2**63, U64_MAX, U64_MAX + 1, -(2**63) - 1, 10**25])
+    | st.sampled_from([True, False, 1.0, 2.5, float("nan"), None, "1", [1], [], {}])
+)
+# pieces spliced into generated texts: literals, numbers and structure
+_JSON_NOISE = [",", "[", "]", "{", "}", '"', " ", "true", "false", "1.0", "NaN", "-", "0", "e5", "9" * 20]
+
+
+@st.composite
+def json_texts(draw):
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["square"] * 6 + ["wide", "ragged", "empty-rows"]))
+    width = {"square": n, "wide": n + 1, "ragged": n, "empty-rows": 0}[shape]
+    big = draw(st.booleans())
+    cells = st.integers(2**63, U64_MAX) if big else st.integers(0, 30)
+    if draw(st.integers(0, 2)) == 0:
+        cells = _JSON_CELLS
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=n, max_size=n))
+    if shape == "ragged" and rows[-1]:
+        rows[-1].pop()
+    obj = {"matrix": rows}
+    n_labels = draw(st.sampled_from([None] * 3 + [n] * 2 + [n + 1]))
+    if n_labels is not None:
+        names = st.sampled_from(["a", "b", "true", "false", 'q"', "é"])
+        obj = {"labels": draw(st.lists(names, min_size=n_labels, max_size=n_labels)), **obj}
+    text = json.dumps(obj)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(_JSON_NOISE)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+class TestJsonArrayPathEquivalence:
+    """parse_json must give what the per-cell checks give, or fail the same way."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"matrix": [[1, true], [0, 1]]}', id="true-cell"),
+            pytest.param('{"matrix": [[false, 1], [0, 1]]}', id="false-cell"),
+            pytest.param('{"labels": ["true", "false"], "matrix": [[1, 2], [3, 4]]}', id="bool-words-in-labels"),
+            pytest.param('{"labels": [true, "b"], "matrix": [[1, 2], [3, 4]]}', id="bool-label"),
+            pytest.param(f'{{"matrix": [[{2**63}, 1], [1, 1]]}}', id="cell-2**63"),
+            pytest.param(f'{{"matrix": [[{2**63}, {2**63}], [{2**63}, {2**63}]]}}', id="all-cells-2**63"),
+            pytest.param(f'{{"matrix": [[{U64_MAX}, 0], [0, 0]]}}', id="cell-2**64-1"),
+            pytest.param(f'{{"matrix": [[{U64_MAX}, {U64_MAX}], [{U64_MAX}, {U64_MAX}]]}}', id="all-cells-2**64-1"),
+            pytest.param(f'{{"matrix": [[{U64_MAX + 1}, 0], [0, 1]]}}', id="cell-2**64"),
+            pytest.param(f'{{"matrix": [[{-(2**63) - 1}, 0], [0, 1]]}}', id="cell-below-int64"),
+            pytest.param('{"matrix": [[1, -2], [3, -4]]}', id="negative-cells"),
+            pytest.param('{"matrix": [[1.0, 2], [3, 4]]}', id="float-cell-1.0"),
+            pytest.param('{"matrix": [[NaN, 2], [3, 4]]}', id="nan-cell"),
+            pytest.param('{"matrix": [[1, null], [3, 4]]}', id="null-cell"),
+            pytest.param('{"matrix": [["1", 2], [3, 4]]}', id="string-cell"),
+            pytest.param('{"matrix": [[1, 2], [3]]}', id="ragged"),
+            pytest.param('{"matrix": [[1], [2, 3]]}', id="ragged-first-row-short"),
+            pytest.param('{"matrix": [[1, 2, 3], [4, 5, 6]]}', id="non-square"),
+            pytest.param('{"matrix": [[]]}', id="empty-row"),
+            pytest.param('{"matrix": [[[1]], [[2]]]}', id="nested-cells"),
+            pytest.param('{"matrix": [[5]]}', id="1x1"),
+            pytest.param('{"matrix": [[0, 0], [0, 0]]}', id="all-zero"),
+            pytest.param('{"labels": ["a"], "matrix": [[1, 2], [3, 4]]}', id="too-few-labels"),
+            pytest.param('{"matrix": [[' + "[" * 70 + "]" * 70 + ", 1], [1, 1]]}", id="cell-nested-70-deep"),
+        ],
+    )
+    def test_pinned_cases(self, text):
+        assert _outcome(parse_json, text) == _outcome(_parse_json_per_cell, text)
+
+    @given(json_texts())
+    def test_generated_texts(self, text):
+        assert _outcome(parse_json, text) == _outcome(_parse_json_per_cell, text)
+
 
 class TestLoadDocument:
     def test_by_extension(self, tmp_path):
@@ -252,6 +369,53 @@ class TestLoadDocument:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_document(str(tmp_path / "absent.csv"))
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n3,\xe94\n")
+        with pytest.raises(ParseError) as exc:
+            load_document(str(path))
+        assert str(exc.value) == "not UTF-8 text: byte 6 (invalid continuation byte)"
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
+    def test_cr_line_ends_read_as_newlines(self, tmp_path, eol):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"a,b" + eol + b"1,2" + eol + b"3,4" + eol)
+        doc = load_document(str(path))
+        assert doc.labels == ("a", "b")
+        assert doc.matrix == AgreementMatrix([[1, 2], [3, 4]])
+        # JSON error positions count lines, so a lone "\r" must count as one
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"matrix":' + eol + b"[[1, 2]," + eol + b"[3, x]]}")
+        with pytest.raises(ParseError) as exc:
+            load_document(str(path))
+        assert str(exc.value) == "invalid JSON: Expecting value: line 3 column 5 (char 24)"
+
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    @given(
+        data=st.lists(
+            st.sampled_from(
+                [b"1", b"2", b",", b"\n", b"\r", b"\r\n", b" ", b"a", b'"', b"[", b"]]}",
+                 b'{"matrix": [[', "\u00e9".encode(), b"\xff", b"\xe2\x82", b"\xef\xbb\xbf"]
+            ),
+            max_size=16,
+        ).map(b"".join)
+    )
+    def test_reads_as_text_mode_does(self, ext, data):
+        parse = parse_csv if ext == "csv" else parse_json
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m." + ext)
+            with open(path, "wb") as handle:
+                handle.write(data)
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                message = f"not UTF-8 text: byte {exc.start} ({exc.reason})"
+                expected = (ParseError, message, None, None)
+            else:
+                expected = _outcome(lambda t, _: parse(t, path), text)
+            assert _outcome(lambda _t, _p: load_document(path), None) == expected
 
 
 class TestRoundTrip:
@@ -289,6 +453,32 @@ class TestDumpJson:
         assert json.loads(pretty) == obj
         assert "\n" in pretty and "\n" not in compact
 
+    def test_other_types_serialize_as_their_builtin_counterparts(self):
+        class Label(str):
+            pass
+
+        class Count(int):
+            pass
+
+        odd = {
+            "tuple": (1, Label('a"b')),
+            "mapping": MappingProxyType({Label("k"): np.float64(0.1), 2: Count(7)}),
+            "nested": [(), MappingProxyType({})],
+        }
+        plain = {
+            "tuple": [1, 'a"b'],
+            "mapping": {"k": 0.1, "2": 7},
+            "nested": [[], {}],
+        }
+        for indent in (None, 2):
+            assert dump_json(odd, indent=indent) == dump_json(plain, indent=indent)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.array([1]), {1, 2}, b"x"])
+    def test_rejects_unserializable_values(self, value):
+        with pytest.raises(InternalInvariantError) as exc:
+            dump_json({"a": [value]})
+        assert str(exc.value) == f"unserializable report value: {value!r}"
+
     def test_empty_containers(self):
         assert dump_json({}, indent=None) == "{}"
         assert dump_json([], indent=None) == "[]"
@@ -313,3 +503,128 @@ class TestReport:
         assert report["version"] == __version__
         text = dump_json(report)
         assert json.loads(text)["ia"]["value"] == result.value
+
+
+# Report bytes captured before the emitter was rewritten for speed; any
+# change to these strings is a change to the report format.
+_GOLDEN_COMPUTE = """\
+{
+  "input": {
+    "path": "study/a.csv",
+    "n": 3,
+    "labels": [
+      "yes",
+      "no",
+      "maybe"
+    ]
+  },
+  "ia": {
+    "value": 0.40564033596395555,
+    "case": "regular_x_min",
+    "n": 3,
+    "m": 3,
+    "l": 3,
+    "h_x": 1.5128876215181606,
+    "h_y": 1.5219280948873628,
+    "h_xy": 2.421127473337187
+  },
+  "version": "9.9.9"
+}"""
+
+_GOLDEN_SWEEP = """\
+{
+  "input": {
+    "path": "b.json",
+    "n": 2,
+    "labels": null
+  },
+  "ia": {
+    "value": 0.5440320022665035,
+    "case": "regular_x_min",
+    "n": 2,
+    "m": 2,
+    "l": 2,
+    "h_x": 0.86312056856663122,
+    "h_y": 0.98522813603425163,
+    "h_xy": 1.3787834934861756
+  },
+  "sweep": [
+    {
+      "epsilon": 0.01,
+      "ia_value": 0.52874224208769272,
+      "gap": 0.015289760178810785,
+      "h_x": 0.86446388328593249,
+      "h_y": 0.984973292844878,
+      "h_xy": 1.3923586042783729
+    },
+    {
+      "epsilon": 1.0000000000000001e-05,
+      "ia_value": 0.54400017723918859,
+      "gap": 3.1825027314913434e-05,
+      "h_x": 0.86312191746724298,
+      "h_y": 0.98522788192891897,
+      "h_xy": 1.3788113233149535
+    },
+    {
+      "epsilon": 1.0000000000000001e-09,
+      "ia_value": 0.54403199688471071,
+      "gap": 5.3817927891941508e-09,
+      "h_x": 0.86312056870152154,
+      "h_y": 0.98522813600884096,
+      "h_xy": 1.3787834981674068
+    }
+  ],
+  "convergence": {
+    "target": 0.5440320022665035,
+    "final_tol": 9.9999999999999995e-07,
+    "require_shrinking_tail": false,
+    "tail_shrinking": true,
+    "within_final_tol": true,
+    "passed": true
+  },
+  "version": "9.9.9"
+}"""
+
+_GOLDEN_BATCH_RECORD = (
+    '{"input": {"path": "dir/\\u00e9t\\u00e9 \\"q\\".json", "n": 3, "labels": '
+    '["say \\"hi\\"", "back\\\\slash", "bell\\u0007\\ttab\\n", '
+    '"caf\\u00e9 \\u2603 \\ud834\\udd1e"]}, '
+    '"ia": {"value": 0.48487648752570511, "case": "regular_y_min", "n": 3, "m": 3, "l": 3, '
+    '"h_x": 1.5545851693377997, "h_y": 1.5545851693377997, "h_xy": 2.3553885422075336}, '
+    '"version": "9.9.9"}'
+)
+
+_GOLDEN_ERROR_RECORD = (
+    '{"input": {"path": "dir/bad\\u00e9.csv"}, '
+    '"error": {"type": "ParseError", "message": "not an integer: \'x\\"4\' (row 2, column 3)"}}'
+)
+
+
+class TestGoldenReports:
+    """Whole reports, byte for byte."""
+
+    def test_pretty_compute_report(self):
+        doc = parse_csv("yes,no,maybe\n7,1,0\n2,5,1\n0,1,3\n", "study/a.csv")
+        report = build_report(doc, ia_epsilon(doc.matrix), version="9.9.9")
+        assert dump_json(report) == _GOLDEN_COMPUTE
+
+    def test_sweep_report(self):
+        doc = parse_json('{"matrix": [[4, 0], [1, 2]]}', "b.json")
+        result = ia_epsilon(doc.matrix)
+        evaluations = sweep(doc.matrix, [1e-2, 1e-5, 1e-9])
+        config = ConvergenceConfig(final_tol=1e-6, require_shrinking_tail=False)
+        verdict = check_convergence(evaluations, result.value, config)
+        report = build_report(doc, result, "9.9.9", evaluations, verdict, config)
+        assert dump_json(report) == _GOLDEN_SWEEP
+
+    def test_compact_batch_record_escapes_labels_and_path(self):
+        labels = ('say "hi"', "back\\slash", "bell\x07\ttab\n", "café ☃ \U0001d11e")
+        matrix = AgreementMatrix([[3, 1, 0], [0, 2, 1], [1, 0, 4]])
+        doc = MatrixDocument('dir/été "q".json', "json", labels, matrix)
+        report = build_report(doc, ia_epsilon(matrix), version="9.9.9")
+        assert dump_json(report, indent=None) == _GOLDEN_BATCH_RECORD
+
+    def test_error_record(self):
+        exc = ParseError("not an integer: 'x\"4'", row=2, col=3)
+        record = error_record("dir/badé.csv", exc)
+        assert dump_json(record, indent=None) == _GOLDEN_ERROR_RECORD

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import agreement_matrices
 from infoagree.errors import (
@@ -93,6 +94,65 @@ class TestConstruction:
         assert int(m.counts[0, 0]) == big
         with pytest.raises(ValueError):
             m.counts[0, 0] = 7
+
+
+class TestExactTotal:
+    """The total is exact up to 2**64 - 1 and refused beyond, on both the
+    single-sum path and the half-word path."""
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param([U64_MAX, 0, 0, 0], id="one-cell-2**64-1"),
+            pytest.param([U64_MAX - 3, 1, 1, 1], id="2**64-1-from-a-large-cell"),
+            pytest.param([2**62] * 3 + [2**62 - 1], id="four-cells-near-2**62"),
+            pytest.param([2**62 + 1, 2**62 - 1, 2**62, 2**62 - 1], id="2**64-1-spread"),
+            pytest.param([2**32 - 1] * 9, id="low-halves-carry"),
+        ],
+    )
+    def test_total_up_to_2_64_minus_1_accepted(self, cells):
+        n = int(len(cells) ** 0.5)
+        arr = np.array(cells, dtype=np.uint64).reshape(n, n)
+        m = AgreementMatrix(arr)
+        assert m.total == sum(cells)
+        assert m.total <= U64_MAX
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param([U64_MAX, 1, 0, 0], id="2**64"),
+            pytest.param([2**62] * 4, id="four-cells-of-2**62"),
+            pytest.param([U64_MAX] * 4, id="every-cell-2**64-1"),
+        ],
+    )
+    def test_total_from_2_64_rejected(self, cells):
+        arr = np.array(cells, dtype=np.uint64).reshape(2, 2)
+        with pytest.raises(CountOverflowError) as exc:
+            AgreementMatrix(arr)
+        assert str(exc.value) == f"total count {sum(cells)} exceeds 64-bit range"
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(
+                st.integers(0, 2**20) | st.integers(0, U64_MAX) | st.integers(2**61, 2**63),
+                min_size=n * n,
+                max_size=n * n,
+            )
+        )
+    )
+    def test_equals_the_python_int_sum(self, cells):
+        n = int(round(len(cells) ** 0.5))
+        arr = np.array(cells, dtype=np.uint64).reshape(n, n)
+        expected = sum(map(int, arr.ravel().tolist()))
+        if expected == 0:
+            with pytest.raises(AllZeroError):
+                AgreementMatrix(arr)
+        elif expected > U64_MAX:
+            with pytest.raises(CountOverflowError) as exc:
+                AgreementMatrix(arr)
+            assert str(exc.value) == f"total count {expected} exceeds 64-bit range"
+        else:
+            assert AgreementMatrix(arr).total == expected
 
 
 class TestSumsAndCounts:
