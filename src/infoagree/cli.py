@@ -51,6 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InfoAgreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug outside the package's own error types
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,6 +185,9 @@ def _cmd_batch(args) -> int:
         except (InfoAgreeError, OSError) as exc:
             record = error_record(path, exc)
             code = max(code, EXIT_INPUT)
+        except Exception as exc:  # a bug: report it, and keep the other files' records
+            record = error_record(path, exc)
+            code = EXIT_INTERNAL
         lines.append(dump_json(record, indent=None))
     _write_output("".join(line + "\n" for line in lines), args.output)
     return code

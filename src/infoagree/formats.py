@@ -22,6 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from infoagree import matrix as _matrix
 from infoagree.errors import InternalInvariantError, ParseError
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import IaResult
@@ -72,7 +73,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
         source_path=source_path,
         format=CSV_FORMAT,
         labels=labels,
-        matrix=AgreementMatrix(counts),
+        # np.loadtxt's array is ours alone, so the matrix keeps it uncopied;
+        # the class is looked up on its module because a layer tracer may
+        # replace this module's AgreementMatrix name with a plain function
+        matrix=_matrix.AgreementMatrix._from_owned(counts),
     )
 
 
@@ -264,6 +268,7 @@ def load_document(path: str, format: str | None = None) -> MatrixDocument:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from None
+    del data  # the file's bytes need not outlive the parse's own copies
     if "\r" in text:  # the universal newlines of text mode
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if format == CSV_FORMAT:

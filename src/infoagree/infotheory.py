@@ -191,16 +191,33 @@ def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | No
     return _count_entropy(w, w.size, c)
 
 
-def _count_entropy(counts: np.ndarray, support: int, total: float) -> float:
+def _count_entropy(
+    counts: np.ndarray, support: int, total: float, top: int | None = None
+) -> float:
     """Entropy in bits of a count vector, by entropy_from_counts' identity.
 
     The one implementation of that identity, shared with measure.ia_epsilon,
     which passes counts straight from a validated matrix. Zero counts are
     structural and contribute nothing; ``support`` is the number of positive
-    counts and ``total`` their sum. A support of 1 is exactly 0 bits.
+    counts, ``total`` their sum and ``top``, when known, the largest count.
+    A support of 1 is exactly 0 bits.
+
+    Integer counts whose largest value is below the support take the sum
+    of c * log2(c) from their histogram, which is then shorter than the
+    counts. As max >= mean = total / support, a total of support**2 or more
+    rules that out before the maximum is looked at. The choice depends only
+    on the multiset of positive counts, so equal multisets (a degenerate
+    matrix's cells and its one non-null row or column, or a matrix's cells
+    and its transpose's) give equal bits.
     """
     if support == 1:
         return 0.0
+    if counts.dtype == np.uint64 and total < support * support:
+        if top is None:
+            top = int(counts.max())
+        if top < support:
+            h = math.log2(total) - _kernels.xlog2_sum_hist(counts, top) / total
+            return _finalize_entropy(h)
     h = math.log2(total) - _kernels.xlog2_sum(counts) / total
     return _finalize_entropy(h)
 

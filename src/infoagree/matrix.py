@@ -34,30 +34,44 @@ class AgreementMatrix:
         counts: read-only (n, n) uint64 array, counts[y][x] as described above.
         n: number of classes (n >= 2).
         total: exact sum of all cells, cached at construction (> 0).
+        max_cell: the largest cell, cached at construction (> 0).
     """
 
-    __slots__ = ("counts", "n", "total")
+    __slots__ = ("counts", "n", "total", "max_cell")
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray):
-        arr = _coerce_counts(rows)
+        self._adopt(_coerce_counts(rows))
+
+    @classmethod
+    def _from_owned(cls, counts: np.ndarray) -> "AgreementMatrix":
+        """Validate a uint64 array that no one else holds, and keep it without
+        a copy; the public constructor copies its input instead."""
+        obj = object.__new__(cls)
+        obj._adopt(_coerce_ndarray(counts, copy=False))
+        return obj
+
+    def _adopt(self, arr: np.ndarray) -> None:
         n = arr.shape[0]
         if n < 2:
             raise DimensionTooSmallError(f"need at least 2 classes, got {n}")
-        total = _exact_total(arr)
+        max_cell = int(arr.max())
+        total = _exact_total(arr, max_cell)
         if total == 0:
             raise AllZeroError("agreement matrix must contain at least one positive cell")
         arr.setflags(write=False)
         self.counts = arr
         self.n = n
         self.total = total
+        self.max_cell = max_cell
 
     @classmethod
-    def _from_trusted(cls, counts: np.ndarray, total: int) -> "AgreementMatrix":
+    def _from_trusted(cls, counts: np.ndarray, total: int, max_cell: int) -> "AgreementMatrix":
         """Wrap an already-validated read-only uint64 array without rechecking."""
         obj = object.__new__(cls)
         obj.counts = counts
         obj.n = counts.shape[0]
         obj.total = total
+        obj.max_cell = max_cell
         return obj
 
     def row_sums(self) -> np.ndarray:
@@ -72,7 +86,7 @@ class AgreementMatrix:
         """The matrix with the raters' roles swapped: result[x][y] = counts[y][x]."""
         flipped = np.ascontiguousarray(self.counts.T)
         flipped.setflags(write=False)
-        return AgreementMatrix._from_trusted(flipped, self.total)
+        return AgreementMatrix._from_trusted(flipped, self.total, self.max_cell)
 
     def count_non_null_rows(self) -> int:
         """Number of rows with a positive sum (1 <= result <= n)."""
@@ -103,7 +117,9 @@ def _coerce_counts(rows) -> np.ndarray:
     return _coerce_sequences(rows)
 
 
-def _coerce_ndarray(arr: np.ndarray) -> np.ndarray:
+def _coerce_ndarray(arr: np.ndarray, copy: bool = True) -> np.ndarray:
+    """The checks of _coerce_counts on an array; with ``copy`` false, a
+    uint64 array is returned as it is rather than copied."""
     if arr.ndim != 2:
         raise NotSquareError(f"expected a 2-d array, got {arr.ndim}-d")
     if arr.shape[0] != arr.shape[1]:
@@ -114,7 +130,7 @@ def _coerce_ndarray(arr: np.ndarray) -> np.ndarray:
     if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
         y, x = np.argwhere(arr < 0)[0]
         raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
-    return arr.astype(np.uint64)
+    return arr.astype(np.uint64, copy=copy)
 
 
 def _coerce_sequences(rows) -> np.ndarray:
@@ -139,15 +155,15 @@ def _coerce_sequences(rows) -> np.ndarray:
     return np.array(row_list, dtype=np.uint64)
 
 
-def _exact_total(arr: np.ndarray) -> int:
-    """Exact grand total of a uint64 array with an overflow check on the
-    64-bit budget.
+def _exact_total(arr: np.ndarray, max_cell: int) -> int:
+    """Exact grand total of a uint64 array whose largest cell is ``max_cell``,
+    with an overflow check on the 64-bit budget.
 
     When size * max fits in 64 bits, no partial sum can wrap, so one uint64
     sum is exact. Otherwise the high and low 32-bit halves of the cells are
     summed apart; each of those sums is exact for up to 2**32 cells.
     """
-    if int(arr.max()) <= U64_MAX // arr.size:
+    if max_cell <= U64_MAX // arr.size:
         return int(arr.sum(dtype=np.uint64))
     high = int((arr >> 32).sum(dtype=np.uint64))
     low = int((arr & 0xFFFFFFFF).sum(dtype=np.uint64))

@@ -98,15 +98,17 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
     """
     n = matrix.n
     total = float(matrix.total)
-    row_sums = matrix.row_sums().astype(np.float64)
-    col_sums = matrix.col_sums().astype(np.float64)
-    cells = matrix.counts.ravel().astype(np.float64)
+    row_sums = matrix.row_sums()
+    col_sums = matrix.col_sums()
+    cells = matrix.counts.ravel()
     m = int(np.count_nonzero(row_sums))
     l = int(np.count_nonzero(col_sums))
 
     h_x = infotheory._count_entropy(col_sums, l, total)
     h_y = infotheory._count_entropy(row_sums, m, total)
-    h_xy = infotheory._count_entropy(cells, int(np.count_nonzero(cells)), total)
+    h_xy = infotheory._count_entropy(
+        cells, int(np.count_nonzero(cells)), total, matrix.max_cell
+    )
 
     if l == 1:
         value = (n - m) / n

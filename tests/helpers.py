@@ -66,3 +66,18 @@ def agreement_matrices(draw, **kwargs):
 
 def positive_matrices(**kwargs):
     return agreement_matrices(min_cell=1, **kwargs)
+
+
+@st.composite
+def small_count_matrices(draw, min_n=3, max_n=40, densities=(0.05, 0.3, 0.7, 1.0)):
+    """Larger matrices of counts 0..9, below n where possible: the shapes whose
+    cells take the histogram route of the count entropy. Drawn from a seeded
+    generator, so an n = 40 example does not cost 1600 list draws."""
+    n = draw(st.integers(min_n, max_n))
+    hi = draw(st.integers(1, min(9, n - 1)))
+    density = draw(st.sampled_from(densities))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(1, hi + 1, size=(n, n)) * (rng.random((n, n)) < density)
+    if not a.any():
+        a[0, 0] = 1
+    return AgreementMatrix(a)

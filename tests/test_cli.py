@@ -251,6 +251,40 @@ class TestExitCodes:
         assert types == ["InternalInvariantError", "AllZeroError"]
 
 
+    def test_unexpected_exception_exits_2_without_traceback(
+        self, capsys, table_csv, monkeypatch
+    ):
+        def broken(matrix):
+            raise RuntimeError("forced for the test")
+
+        monkeypatch.setattr(infoagree.cli, "ia_epsilon", broken)
+        code, out, err = run(capsys, "compute", table_csv)
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: RuntimeError: forced for the test\n"
+
+    def test_batch_unexpected_exception_keeps_other_records(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def broken_on_total_5(matrix):
+            if matrix.total == 5:
+                raise RuntimeError("forced for the test")
+            return _real_ia_epsilon(matrix)
+
+        (tmp_path / "a.csv").write_text("3,1\n0,1\n")
+        (tmp_path / "b.csv").write_text("0,0\n0,0\n")
+        (tmp_path / "c.csv").write_text("1,1\n1,1\n")
+        monkeypatch.setattr(infoagree.cli, "ia_epsilon", broken_on_total_5)
+        code, out, err = run(capsys, "batch", str(tmp_path))
+        assert code == 2
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3
+        assert records[0]["error"] == {"type": "RuntimeError", "message": "forced for the test"}
+        assert records[1]["error"]["type"] == "AllZeroError"
+        assert "ia" in records[2]
+
+
 class TestArgumentHandling:
     def test_unknown_flag_exits_1(self, capsys, table_csv):
         code, _, err = run(capsys, "compute", "--bogus", table_csv)

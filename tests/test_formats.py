@@ -42,6 +42,21 @@ class TestParseCsv:
         assert doc.labels is None
         assert doc.format == "csv"
 
+    def test_strict_path_keeps_the_parsed_array(self, monkeypatch):
+        parsed = []
+        real_loadtxt = np.loadtxt
+
+        def recording_loadtxt(*args, **kwargs):
+            parsed.append(real_loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(formats.np, "loadtxt", recording_loadtxt)
+        doc = parse_csv("a,b\n1,2\n3,4\n")
+        assert len(parsed) == 1
+        assert doc.matrix.counts is parsed[0]
+        assert not doc.matrix.counts.flags.writeable
+        assert (doc.matrix.total, doc.matrix.max_cell) == (10, 4)
+
     def test_label_row(self):
         doc = parse_csv("a,b\n1,2\n3,4")
         assert doc.labels == ("a", "b")

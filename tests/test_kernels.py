@@ -50,3 +50,43 @@ def test_python_kernel_matches_reference(values):
     got = _kernels.xlog2_sum(np.array(values, dtype=np.float64))
     want = reference_xlog2_sum(values)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def reference_xlog2_sum_ints(counts):
+    return math.fsum(c * math.log2(c) for c in map(int, counts) if c > 0)
+
+
+@given(st.lists(st.integers(0, 500), min_size=1, max_size=300))
+def test_hist_kernel_matches_reference(counts):
+    arr = np.array(counts, dtype=np.uint64)
+    got = _kernels.xlog2_sum_hist(arr, int(arr.max()))
+    want = reference_xlog2_sum_ints(counts)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_hist_kernel_zeros_and_ones():
+    assert _kernels.xlog2_sum_hist(np.zeros(4, dtype=np.uint64), 0) == 0.0
+    assert _kernels.xlog2_sum_hist(np.ones(4, dtype=np.uint64), 1) == 0.0
+    assert _kernels.xlog2_sum_hist(np.array([2, 0, 4], dtype=np.uint64), 4) == 10.0
+
+
+def test_hist_kernel_ignores_order_and_layout():
+    rng = np.random.default_rng(7)
+    base = rng.integers(0, 10, size=(30, 30)).astype(np.uint64)
+    want = _kernels.xlog2_sum_hist(base.ravel(), 9)
+    assert want == pytest.approx(reference_xlog2_sum_ints(base.ravel()), rel=1e-12)
+
+    read_only = base.copy()
+    read_only.setflags(write=False)
+    padded = np.zeros((30, 60), dtype=np.uint64)
+    padded[:, ::2] = base
+    layouts = {
+        "read-only": read_only.ravel(),
+        "fortran": np.asfortranarray(base),
+        "strided": padded[:, ::2],
+        "strided 1-d": padded.ravel()[::2],
+        "shuffled": rng.permutation(base.ravel()),
+        "transposed": base.T,
+    }
+    for name, counts in layouts.items():
+        assert _kernels.xlog2_sum_hist(counts, 9) == want, name

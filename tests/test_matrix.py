@@ -213,3 +213,36 @@ def test_transpose_swaps_roles(m):
     assert m.col_sums().tolist() == t.row_sums().tolist()
     assert m.count_non_null_cols() == t.count_non_null_rows()
     assert t.transpose() == m
+
+
+class TestMaxCell:
+    """The largest cell is cached beside the total on every way in."""
+
+    def test_from_list(self):
+        m = AgreementMatrix([[1, 7], [0, 3]])
+        assert m.max_cell == 7 == int(m.counts.max())
+
+    def test_from_ndarray(self):
+        m = AgreementMatrix(np.array([[2**63 + 5, 1], [2, 3]], dtype=np.uint64))
+        assert m.max_cell == 2**63 + 5 == int(m.counts.max())
+
+    def test_owned_array(self):
+        src = np.array([[0, 4], [9, 1]], dtype=np.uint64)
+        m = AgreementMatrix._from_owned(src)
+        assert m.counts is src and not src.flags.writeable
+        assert m.max_cell == 9 == int(m.counts.max())
+
+    def test_owned_array_is_still_validated(self):
+        with pytest.raises(AllZeroError):
+            AgreementMatrix._from_owned(np.zeros((2, 2), dtype=np.uint64))
+        with pytest.raises(DimensionTooSmallError):
+            AgreementMatrix._from_owned(np.ones((1, 1), dtype=np.uint64))
+        with pytest.raises(NotSquareError):
+            AgreementMatrix._from_owned(np.ones((2, 3), dtype=np.uint64))
+        with pytest.raises(CountOverflowError):
+            AgreementMatrix._from_owned(np.full((2, 2), 2**63, dtype=np.uint64))
+
+    @given(agreement_matrices())
+    def test_through_transpose(self, m):
+        t = m.transpose()
+        assert m.max_cell == t.max_cell == int(m.counts.max())
