@@ -135,6 +135,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = _epsilon_grid(args.eps_from, args.eps_to, args.eps_steps)
+    if args.final_tol is not None and not (math.isfinite(args.final_tol) and args.final_tol >= 0.0):
+        raise InfoAgreeError(f"--final-tol must be finite and >= 0, got {args.final_tol!r}")
     doc = load_document(args.path, args.format)
     result = ia_epsilon(doc.matrix)
     evaluations = sweep(doc.matrix, grid)

@@ -48,9 +48,10 @@ class DistributionError(InfoAgreeError):
 
 
 class ZeroProbabilityError(DistributionError):
-    """Entropy requested on a distribution that still contains zeros.
+    """Entropy or mutual information requested on an unrefined distribution
+    that contains zeros.
 
-    Drop the zero-probability entries with refine() first; 0*log2(0) is
+    Mask the zero-probability entries with refine() first; 0*log2(0) is
     never evaluated implicitly.
     """
 

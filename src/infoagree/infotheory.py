@@ -1,16 +1,16 @@
-"""Probability distributions derived from agreement matrices, and the
-entropies and mutual information built on them.
-
-All entropies are in bits (base-2 logarithms). Zero-probability entries are
-never fed to a logarithm implicitly: distributions that may contain zeros
-must be passed through refine() before their entropy is requested.
+"""Probability distributions of agreement matrices, and the entropies and
+mutual information built on them. A distribution is an array whose indices
+are its categories: a marginal is 1-d, a joint 2-d with rater Y on axis 0
+and rater X on axis 1, as in the matrix. Entropies are in bits. Zero
+probabilities are never fed to a logarithm implicitly: a distribution that
+may hold zeros goes through refine(), which masks them out of every sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,12 +26,11 @@ from infoagree.errors import (
 from infoagree.matrix import AgreementMatrix
 
 PROB_SUM_TOL = 1e-12
-"""Absolute tolerance on a probability vector summing to 1."""
+"""Absolute tolerance on a probability array summing to 1."""
 
 MARGINAL_TOL = 1e-9
-"""Absolute per-entry tolerance when comparing a marginal against the one
-implied by a joint distribution. Chosen to exceed accumulated rounding for
-supports up to ~10^8 entries."""
+"""Absolute per-entry tolerance between a marginal and the one implied by a
+joint distribution; exceeds accumulated rounding for supports up to ~10^8."""
 
 TOTAL_TOL = 1e-12
 """Absolute tolerance between a stated weight total and the exact sum."""
@@ -39,127 +38,65 @@ TOTAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CategoricalDistribution:
-    """Finite probability distribution over opaque labels.
+    """Finite probability distribution over the indices of ``probs``: a read-only
+    float64 array (1-d marginal, 2-d joint), nonnegative, summing to 1 within PROB_SUM_TOL."""
 
-    labels: distinct hashable labels; class indices for marginals,
-        (y, x) index pairs for joints.
-    probs: matching nonnegative probabilities summing to 1 within PROB_SUM_TOL.
-    """
-
-    labels: tuple[Hashable, ...]
     probs: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(self.labels)
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1:
-            raise DistributionError("probabilities must form a 1-d vector")
-        if len(labels) != probs.size:
-            raise DistributionError(
-                f"{len(labels)} labels for {probs.size} probabilities"
-            )
-        if len(set(labels)) != len(labels):
-            raise DistributionError("labels must be distinct")
-        _check_probabilities(probs)
+        if probs.ndim not in (1, 2) or probs.size == 0:
+            raise DistributionError("probabilities must form a nonempty 1-d or 2-d array")
+        if probs.min() < 0.0:
+            raise DistributionError("negative probability")
+        s = float(probs.sum())
+        if not abs(s - 1.0) <= PROB_SUM_TOL:
+            raise DistributionError(f"probabilities sum to {s!r}, not 1")
         probs.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
     def support_size(self) -> int:
-        """Number of labels carrying positive probability."""
+        """Number of cells carrying positive probability."""
         return int(np.count_nonzero(self.probs))
 
 
 @dataclass(frozen=True)
 class RefinedDistribution(CategoricalDistribution):
-    """A distribution restricted to its support: every probability is > 0."""
+    """A distribution restricted to its support, the boolean mask ``support``
+    = probs > 0: sums over it skip every cell outside the mask."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if (self.probs == 0.0).any():
-            raise DistributionError("refined distribution may not contain zeros")
-
-
-def _check_probabilities(probs: np.ndarray) -> None:
-    """Raise DistributionError unless the float64 vector ``probs`` is
-    nonempty, nonnegative and sums to 1 within PROB_SUM_TOL.
-
-    The label-free part of CategoricalDistribution's validation, shared with
-    measure.ia_strict, which works on bare probability arrays.
-    """
-    if probs.size == 0:
-        raise DistributionError("empty distribution")
-    if (probs < 0.0).any():
-        raise DistributionError("negative probability")
-    s = float(probs.sum())
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        raise DistributionError(f"probabilities sum to {s!r}, not 1")
+    @property
+    def support(self) -> np.ndarray:
+        return self.probs > 0.0
 
 
 def marginal_x(matrix: AgreementMatrix) -> CategoricalDistribution:
     """Rater X's class distribution: column sums over the grand total."""
-    probs = matrix.col_sums().astype(np.float64) / float(matrix.total)
-    return CategoricalDistribution(tuple(range(matrix.n)), probs)
+    return CategoricalDistribution(matrix.col_sums().astype(np.float64) / float(matrix.total))
 
 
 def marginal_y(matrix: AgreementMatrix) -> CategoricalDistribution:
     """Rater Y's class distribution: row sums over the grand total."""
-    probs = matrix.row_sums().astype(np.float64) / float(matrix.total)
-    return CategoricalDistribution(tuple(range(matrix.n)), probs)
+    return CategoricalDistribution(matrix.row_sums().astype(np.float64) / float(matrix.total))
 
 
 def joint(matrix: AgreementMatrix) -> CategoricalDistribution:
-    """The joint class distribution: cell (y, x) over the grand total.
-
-    Labels are (y, x) pairs in row-major order; component 0 is rater Y's
-    class, matching the matrix orientation. They are materialised as n**2
-    Python tuples, which costs about 1.2 s at n = 1600; ia_strict and
-    ia_epsilon do not go through this function.
-    """
-    n = matrix.n
-    labels = tuple((y, x) for y in range(n) for x in range(n))
-    probs = matrix.counts.ravel().astype(np.float64) / float(matrix.total)
-    return CategoricalDistribution(labels, probs)
+    """The joint class distribution: the n x n cells over the grand total."""
+    return CategoricalDistribution(matrix.counts / float(matrix.total))
 
 
 def refine(dist: CategoricalDistribution) -> RefinedDistribution:
-    """Restrict a distribution to its support.
-
-    Zero-probability labels are dropped; surviving labels keep their exact
-    probabilities. A valid distribution always has nonempty support, so this
-    never fails.
-    """
-    mask = dist.probs > 0.0
-    labels = tuple(lab for lab, keep in zip(dist.labels, mask) if keep)
-    return RefinedDistribution(labels, dist.probs[mask])
+    """The same probabilities with the zero cells masked out of every sum; a
+    valid distribution always has nonempty support, so this never fails."""
+    return RefinedDistribution(dist.probs)
 
 
 def shannon_entropy(dist: CategoricalDistribution) -> float:
-    """H = -sum(p * log2(p)) in bits.
-
-    Well-defined only on strictly positive probabilities; raises
-    ZeroProbabilityError if the distribution still contains a zero entry
-    (call refine() first). The result lies in [0, log2(len(dist))] and is
-    zero exactly when the support is a single label.
-    """
-    return _probability_entropy(dist.probs)
-
-
-def _probability_entropy(p: np.ndarray) -> float:
-    """Entropy in bits of a checked, strictly positive probability vector.
-
-    The body of shannon_entropy, shared with measure.ia_strict, which passes
-    bare probability arrays; raises ZeroProbabilityError on a zero entry.
-    """
-    if (p == 0.0).any():
-        raise ZeroProbabilityError(
-            "distribution contains zero probabilities; refine() it first"
-        )
-    h = -_kernels.xlog2_sum(p)
-    return _finalize_entropy(h)
+    """H = -sum(p * log2(p)) in bits: in [0, log2(dist.support_size())], and
+    zero exactly when the support is a single cell. Raises
+    ZeroProbabilityError if an unrefined distribution holds a zero."""
+    _sum_cells(dist)
+    return _finalize_entropy(-_kernels.xlog2_sum(dist.probs.ravel()))  # skips zeros
 
 
 def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | None = None) -> float:
@@ -223,92 +160,65 @@ def _count_entropy(
 
 
 def conditional_entropy(
-    joint_dist: RefinedDistribution, given: RefinedDistribution
+    joint_dist: CategoricalDistribution, given: CategoricalDistribution
 ) -> float:
-    """H(W|Z) = -sum over (z, w) pairs of p(z, w) * log2(p(z, w) / p(z)).
-
-    ``joint_dist`` must be labelled with (z, w) pairs whose first component
-    indexes ``given``. The supplied marginal is cross-checked against the
-    z-marginal implied by the joint (per-entry, within MARGINAL_TOL).
-    Equals H(ZW) - H(Z).
-    """
-    pairs = _pair_labels(joint_dist)
-    p_z = dict(zip(given.labels, given.probs.tolist()))
-    implied: dict[Hashable, float] = {}
-    for (z, _w), p in zip(pairs, joint_dist.probs.tolist()):
-        implied[z] = implied.get(z, 0.0) + p
-    _check_marginal(implied, p_z, "z")
-    _require_labels(implied, p_z, "z")
-    h = -math.fsum(
-        p * math.log2(p / p_z[z])
-        for (z, _w), p in zip(pairs, joint_dist.probs.tolist())
-    )
+    """H(W|Z) = -sum over cells (z, w) of p(z, w) * log2(p(z, w) / p(z)) = H(ZW) - H(Z),
+    with Z on the 2-d joint's axis 0; ``given`` is Z's marginal, checked against the row sums."""
+    p_z = _checked_marginal(joint_dist, 1, given, "z")
+    h = -_xlog2_ratio_sum(joint_dist, p_z, np.ones(joint_dist.probs.shape[1]))
     return _finalize_entropy(h, slack=MARGINAL_TOL)
 
 
 def mutual_information(
-    joint_dist: RefinedDistribution,
-    first: RefinedDistribution,
-    second: RefinedDistribution,
+    joint_dist: CategoricalDistribution,
+    first: CategoricalDistribution,
+    second: CategoricalDistribution,
 ) -> float:
-    """MI = sum over (a, b) pairs of p(a, b) * log2(p(a, b) / (p(a) * p(b))).
-
-    ``joint_dist`` must be labelled with (a, b) pairs; ``first`` indexes
-    component 0 and ``second`` component 1. Both marginals are cross-checked
-    against the ones implied by the joint. Nonnegative, zero exactly at
-    independence, and symmetric in the two variables.
-    """
-    pairs = _pair_labels(joint_dist)
-    p_a = dict(zip(first.labels, first.probs.tolist()))
-    p_b = dict(zip(second.labels, second.probs.tolist()))
-    implied_a: dict[Hashable, float] = {}
-    implied_b: dict[Hashable, float] = {}
-    for (a, b), p in zip(pairs, joint_dist.probs.tolist()):
-        implied_a[a] = implied_a.get(a, 0.0) + p
-        implied_b[b] = implied_b.get(b, 0.0) + p
-    _check_marginal(implied_a, p_a, "first")
-    _check_marginal(implied_b, p_b, "second")
-    _require_labels(implied_a, p_a, "first")
-    _require_labels(implied_b, p_b, "second")
-    mi = math.fsum(
-        p * math.log2(p / (p_a[a] * p_b[b]))
-        for (a, b), p in zip(pairs, joint_dist.probs.tolist())
-    )
-    if -PROB_SUM_TOL < mi < 0.0:
-        return 0.0
-    return mi
+    """MI = sum over cells (a, b) of p(a, b) * log2(p(a, b) / (p(a) * p(b))): nonnegative,
+    zero exactly at independence, and symmetric. ``first`` and ``second`` are the
+    marginals of the 2-d joint's axes 0 and 1, each checked against the joint's sums."""
+    p_a = _checked_marginal(joint_dist, 1, first, "first")
+    p_b = _checked_marginal(joint_dist, 0, second, "second")
+    mi = _xlog2_ratio_sum(joint_dist, p_a, p_b)
+    return 0.0 if -PROB_SUM_TOL < mi < 0.0 else mi
 
 
-def _pair_labels(dist: CategoricalDistribution) -> list[tuple[Hashable, Hashable]]:
-    labels = list(dist.labels)
-    for lab in labels:
-        if not (isinstance(lab, tuple) and len(lab) == 2):
-            raise DistributionError(f"joint labels must be (a, b) pairs, got {lab!r}")
-    return labels
+def _checked_marginal(joint_dist, axis: int, dist, name: str) -> np.ndarray:
+    """``dist``'s probabilities, once they match the 2-d joint's sums along ``axis``."""
+    if joint_dist.probs.ndim != 2:
+        raise DistributionError(f"a joint distribution is 2-d, not {joint_dist.probs.ndim}-d")
+    implied, q = joint_dist.probs.sum(axis=axis), dist.probs
+    if q.shape != implied.shape:
+        raise InconsistentMarginalError(f"{name}-marginal has shape {q.shape}, not {implied.shape}")
+    gap = float(np.abs(implied - q).max())
+    if gap > MARGINAL_TOL:
+        raise InconsistentMarginalError(f"{name}-marginal is off the joint's sums by {gap:.3e}")
+    # mass below the tolerance can sit on a zero entry, which the sums divide by
+    if not q.all() and implied[q == 0.0].any():
+        raise InconsistentMarginalError(f"{name}-marginal is zero where the joint is not")
+    return q
 
 
-def _check_marginal(
-    implied: dict[Hashable, float], supplied: dict[Hashable, float], name: str
-) -> None:
-    for label in implied.keys() | supplied.keys():
-        gap = abs(implied.get(label, 0.0) - supplied.get(label, 0.0))
-        if gap > MARGINAL_TOL:
-            raise InconsistentMarginalError(
-                f"{name}-marginal disagrees with the joint at label {label!r} "
-                f"by {gap:.3e}"
-            )
+def _sum_cells(dist: CategoricalDistribution) -> np.ndarray | bool:
+    """The cells a sum over ``dist`` runs over, as a ufunc ``where``: a refined one's
+    support, else all (True). Raises ZeroProbabilityError on an unrefined zero."""
+    if isinstance(dist, RefinedDistribution):
+        return dist.support
+    if dist.probs.min() == 0.0:
+        raise ZeroProbabilityError("distribution contains zero probabilities; refine() it first")
+    return True
 
 
-def _require_labels(
-    implied: dict[Hashable, float], supplied: dict[Hashable, float], name: str
-) -> None:
-    # a label can slip past the tolerance check with negligible probability,
-    # but the entropy sums still need its supplied value
-    missing = implied.keys() - supplied.keys()
-    if missing:
-        raise InconsistentMarginalError(
-            f"{name}-marginal is missing joint labels {sorted(map(repr, missing))}"
-        )
+def _xlog2_ratio_sum(dist, a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the 2-d ``dist``'s cells,
+    in one scratch buffer. A masked cell has p = 0 and a ratio of 1, so one dot
+    product over the whole array adds nothing for it."""
+    p, cells = dist.probs, _sum_cells(dist)
+    ratio = np.empty_like(p) if cells is True else np.ones_like(p)
+    np.divide(p, a[:, None], out=ratio, where=cells)
+    np.divide(ratio, b, out=ratio, where=cells)
+    np.log2(ratio, out=ratio, where=cells)
+    return float(np.vdot(p, ratio))
 
 
 def _finalize_entropy(h: float, slack: float = TOTAL_TOL) -> float:

@@ -56,31 +56,25 @@ class IaResult:
 def ia_strict(matrix: AgreementMatrix) -> float:
     """Information agreement of a strictly positive matrix, in [0, 1].
 
-    MI(X, Y) / min(H(X), H(Y)), evaluated as 1 + (H_max - H(XY)) / H_min.
-    Raises ContainsZeroError if any cell is zero; use ia_epsilon then.
+    MI(X, Y) / min(H(X), H(Y)), as the paper defines it, over infotheory's
+    joint and marginal distributions. Raises ContainsZeroError if any cell
+    is zero; use ia_epsilon then.
 
-    The entropies come from the normalised probability vectors (the same
-    arrays marginal_x, marginal_y and joint hold), not from the count
-    identity ia_epsilon uses, so the two stay independent computations.
+    MI is a sum of p * log2(p / (p_x * p_y)) terms, so it cancels no
+    order-one entropies near independence. None of it goes through the
+    count identity ia_epsilon uses, so the two stay independent
+    computations.
     """
     if matrix.has_zero_cell():
         raise ContainsZeroError(
             "matrix contains zero cells; plain information agreement is "
             "undefined, use ia_epsilon"
         )
-    total = float(matrix.total)
-    h_x = _entropy_of_shares(matrix.col_sums(), total)
-    h_y = _entropy_of_shares(matrix.row_sums(), total)
-    h_xy = _entropy_of_shares(matrix.counts.ravel(), total)
-    h_lo, h_hi = sorted((h_x, h_y))
-    return _absorb_rounding(1.0 + (h_hi - h_xy) / h_lo)
-
-
-def _entropy_of_shares(counts: np.ndarray, total: float) -> float:
-    """Shannon entropy of counts / total, checked as a probability vector."""
-    probs = counts.astype(np.float64) / total
-    infotheory._check_probabilities(probs)
-    return infotheory._probability_entropy(probs)
+    p_x = infotheory.marginal_x(matrix)
+    p_y = infotheory.marginal_y(matrix)
+    mi = infotheory.mutual_information(infotheory.joint(matrix), p_y, p_x)
+    h_lo = min(infotheory.shannon_entropy(p_x), infotheory.shannon_entropy(p_y))
+    return _absorb_rounding(mi / h_lo)
 
 
 def ia_epsilon(matrix: AgreementMatrix) -> IaResult:

@@ -139,6 +139,22 @@ class TestSweep:
         assert err == f"error: {flag} must be finite, got inf\n"
         assert [w.category for w in caught] == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_final_tol_exits_1(self, capsys, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text("2,1\n0,1\n")
+        code, out, err = run(capsys, "sweep", f"--final-tol={value}", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --final-tol must be finite and >= 0, got {float(value)!r}\n"
+
+    def test_zero_final_tol_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("2,1\n0,1\n")
+        code, out, _ = run(capsys, "sweep", "--final-tol=0", str(path))
+        assert code in (0, 3)
+        assert json.loads(out)["convergence"]["final_tol"] == 0.0
+
     def test_reversed_grid_exits_1(self, capsys, table_csv):
         code, _, _ = run(capsys, "sweep", "--eps-from", "1e-12", "--eps-to", "1e-2", table_csv)
         assert code == 1

@@ -33,14 +33,12 @@ def h_ref(probs):
     return -math.fsum(p * math.log2(p) for p in probs if p)
 
 
-def dist(probs, labels=None):
-    labels = tuple(range(len(probs))) if labels is None else tuple(labels)
-    return CategoricalDistribution(labels, np.array(probs, dtype=float))
+def dist(probs):
+    return CategoricalDistribution(np.array(probs, dtype=float))
 
 
-def rdist(probs, labels=None):
-    labels = tuple(range(len(probs))) if labels is None else tuple(labels)
-    return RefinedDistribution(labels, np.array(probs, dtype=float))
+def rdist(probs):
+    return RefinedDistribution(np.array(probs, dtype=float))
 
 
 class TestDistributionTypes:
@@ -52,13 +50,16 @@ class TestDistributionTypes:
         with pytest.raises(DistributionError):
             dist([])
         with pytest.raises(DistributionError):
-            CategoricalDistribution((0, 0), np.array([0.5, 0.5]))  # dup labels
+            CategoricalDistribution(np.full((2, 2, 1), 0.25))  # 3-d
         with pytest.raises(DistributionError):
-            CategoricalDistribution((0,), np.array([0.6, 0.4]))  # length mismatch
+            CategoricalDistribution(np.zeros((0, 2)))  # empty 2-d
+        with pytest.raises(DistributionError):
+            dist([0.5, float("nan")])
 
-    def test_refined_rejects_zeros(self):
-        with pytest.raises(DistributionError):
-            rdist([0.5, 0.0, 0.5])
+    def test_refined_masks_zeros(self):
+        d = rdist([0.5, 0.0, 0.5])
+        assert d.support.tolist() == [True, False, True]
+        assert shannon_entropy(d) == 1.0
 
     def test_probs_are_frozen(self):
         d = dist([0.5, 0.5])
@@ -67,6 +68,7 @@ class TestDistributionTypes:
 
     def test_support_size(self):
         assert dist([0.5, 0.0, 0.5]).support_size() == 2
+        assert dist([[0.5, 0.0], [0.25, 0.25]]).support_size() == 3
 
 
 class TestMatrixDistributions:
@@ -83,32 +85,50 @@ class TestMatrixDistributions:
         assert marginal_y(AgreementMatrix([[2, 1], [0, 1]])).probs.tolist() == [0.75, 0.25]
 
     def test_joint(self):
-        assert joint(AgreementMatrix([[1, 1], [1, 1]])).probs.tolist() == [0.25] * 4
-        assert joint(AgreementMatrix([[5, 0], [0, 5]])).probs.tolist() == [0.5, 0.0, 0.0, 0.5]
-        assert joint(AgreementMatrix([[2, 1], [0, 1]])).probs.tolist() == [0.5, 0.25, 0.0, 0.25]
+        assert joint(AgreementMatrix([[1, 1], [1, 1]])).probs.tolist() == [[0.25, 0.25]] * 2
+        assert joint(AgreementMatrix([[5, 0], [0, 5]])).probs.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+        assert joint(AgreementMatrix([[2, 1], [0, 1]])).probs.tolist() == [[0.5, 0.25], [0.0, 0.25]]
 
-    def test_joint_labels_are_row_major_y_x_pairs(self):
+    def test_joint_axes_are_y_then_x(self):
         d = joint(AgreementMatrix([[2, 1], [0, 1]]))
-        assert d.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert d.probs.shape == (2, 2)
+        assert d.probs[0, 1] == 0.25  # rater Y's class 0, rater X's class 1
+        assert d.probs[1, 0] == 0.0
+
+    @given(agreement_matrices())
+    def test_joint_axis_sums_are_the_marginals(self, m):
+        p = joint(m).probs
+        assert np.abs(p.sum(axis=1) - marginal_y(m).probs).max() <= 1e-14
+        assert np.abs(p.sum(axis=0) - marginal_x(m).probs).max() <= 1e-14
 
 
 class TestRefine:
-    def test_drops_zeros_keeps_labels(self):
-        r = refine(dist([0.5, 0.0, 0.5]))
+    def test_masks_zeros_keeps_probabilities(self):
+        d = dist([0.5, 0.0, 0.5])
+        r = refine(d)
         assert isinstance(r, RefinedDistribution)
-        assert r.labels == (0, 2)
-        assert r.probs.tolist() == [0.5, 0.5]
+        assert (r.support == (d.probs > 0)).all()
+        assert r.probs.tolist() == [0.5, 0.0, 0.5]
+        assert shannon_entropy(r) == shannon_entropy(dist([0.5, 0.5])) == 1.0
 
     def test_point_mass(self):
         r = refine(dist([1.0, 0.0, 0.0]))
-        assert r.labels == (0,)
-        assert r.probs.tolist() == [1.0]
+        assert r.support.tolist() == [True, False, False]
+        assert shannon_entropy(r) == 0.0
 
     def test_identity_on_positive(self):
         d = dist([0.25, 0.75])
         r = refine(d)
-        assert r.labels == d.labels
+        assert r.support.all()
         assert r.probs.tolist() == d.probs.tolist()
+
+    @given(agreement_matrices())
+    def test_joint_support_is_the_nonzero_cells(self, m):
+        j = joint(m)
+        r = refine(j)
+        assert r.support.shape == (m.n, m.n)
+        assert (r.support == (j.probs > 0)).all()
+        assert (r.support == (m.counts > 0)).all()
 
 
 class TestShannonEntropy:
@@ -126,8 +146,8 @@ class TestShannonEntropy:
     def test_range_and_positivity(self, m):
         d = refine(marginal_y(m))
         h = shannon_entropy(d)
-        assert 0.0 <= h <= math.log2(len(d)) + 1e-12
-        if len(d) >= 2:
+        assert 0.0 <= h <= math.log2(d.support_size()) + 1e-12
+        if d.support_size() >= 2:
             assert h > 0.0
         else:
             assert h == 0.0
@@ -177,32 +197,29 @@ class TestEntropyFromCounts:
 class TestConditionalEntropy:
     def test_independent_joint_gives_marginal_entropy(self):
         # p(z, w) = p(z) q(w) with p = (.5, .5), q = (.25, .75)
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.125, 0.375, 0.125, 0.375], labels)
+        j = rdist([[0.125, 0.375], [0.125, 0.375]])
         given_z = rdist([0.5, 0.5])
         assert conditional_entropy(j, given_z) == pytest.approx(
             h_ref([0.25, 0.75]), abs=1e-12
         )
 
     def test_deterministic_function_gives_zero(self):
-        j = rdist([0.5, 0.5], ((0, 0), (1, 1)))
+        j = rdist([[0.5, 0.0], [0.0, 0.5]])
         assert conditional_entropy(j, rdist([0.5, 0.5])) == 0.0
 
     def test_correlated_example(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.4, 0.1, 0.1, 0.4], labels)
+        j = rdist([[0.4, 0.1], [0.1, 0.4]])
         expected = h_ref([0.4, 0.1, 0.1, 0.4]) - 1.0  # H(ZW) - H(Z)
         got = conditional_entropy(j, rdist([0.5, 0.5]))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.721928, abs=1e-6)
 
     def test_rejects_inconsistent_marginal(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.4, 0.1, 0.1, 0.4], labels)
+        j = rdist([[0.4, 0.1], [0.1, 0.4]])
         with pytest.raises(InconsistentMarginalError):
             conditional_entropy(j, rdist([0.7, 0.3]))
         with pytest.raises(InconsistentMarginalError):
-            conditional_entropy(j, rdist([1.0], labels=("other",)))
+            conditional_entropy(j, rdist([1.0]))  # shape mismatch
 
     @given(positive_matrices())
     def test_chain_rule(self, m):
@@ -215,20 +232,18 @@ class TestConditionalEntropy:
 
 class TestMutualInformation:
     def test_product_joint_gives_zero(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.125, 0.375, 0.125, 0.375], labels)
+        j = rdist([[0.125, 0.375], [0.125, 0.375]])
         mi = mutual_information(j, rdist([0.5, 0.5]), rdist([0.25, 0.75]))
         assert mi == pytest.approx(0.0, abs=1e-12)
         assert mi >= 0.0
 
     def test_perfect_correlation_of_two_classes(self):
-        j = rdist([0.5, 0.5], ((0, 0), (1, 1)))
+        j = rdist([[0.5, 0.0], [0.0, 0.5]])
         u = rdist([0.5, 0.5])
         assert mutual_information(j, u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_correlated_example(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.4, 0.1, 0.1, 0.4], labels)
+        j = rdist([[0.4, 0.1], [0.1, 0.4]])
         u = rdist([0.5, 0.5])
         expected = 2.0 - h_ref([0.4, 0.1, 0.1, 0.4])  # H(Z) + H(W) - H(ZW)
         got = mutual_information(j, u, u)
@@ -236,17 +251,18 @@ class TestMutualInformation:
         assert got == pytest.approx(0.278072, abs=1e-6)
 
     def test_rejects_inconsistent_marginal(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.4, 0.1, 0.1, 0.4], labels)
+        j = rdist([[0.4, 0.1], [0.1, 0.4]])
         with pytest.raises(InconsistentMarginalError):
             mutual_information(j, rdist([0.9, 0.1]), rdist([0.5, 0.5]))
+        with pytest.raises(InconsistentMarginalError):
+            mutual_information(j, rdist([0.5, 0.5]), rdist([0.25, 0.25, 0.5]))  # shape
 
     def test_symmetry_is_exact(self):
-        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-        j = rdist([0.4, 0.1, 0.1, 0.4], labels)
-        swapped = rdist([0.4, 0.1, 0.1, 0.4], tuple((b, a) for a, b in labels))
-        u = rdist([0.5, 0.5])
-        assert abs(mutual_information(j, u, u) - mutual_information(swapped, u, u)) <= 1e-12
+        j = rdist([[0.4, 0.2], [0.1, 0.3]])
+        swapped = rdist(j.probs.T)
+        first, second = rdist([0.6, 0.4]), rdist([0.5, 0.5])
+        forward = mutual_information(j, first, second)
+        assert abs(forward - mutual_information(swapped, second, first)) <= 1e-12
 
     @given(positive_matrices())
     def test_identity_with_entropies(self, m):
@@ -268,6 +284,40 @@ class TestMutualInformation:
         mi = mutual_information(j, my, mx)
         want = shannon_entropy(mx) + shannon_entropy(my) - shannon_entropy(j)
         assert mi == pytest.approx(want, abs=1e-9)
+
+
+class TestZerosAndShapes:
+    def test_unrefined_joint_with_a_zero_raises_zero_probability(self):
+        m = AgreementMatrix([[2, 0], [1, 1]])
+        with pytest.raises(ZeroProbabilityError):
+            mutual_information(joint(m), marginal_y(m), marginal_x(m))
+        with pytest.raises(ZeroProbabilityError):
+            conditional_entropy(joint(m), marginal_y(m))
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [1, 1]], [[3, 1, 0], [1, 2, 0], [0, 0, 0]]])
+    def test_refined_joint_with_unrefined_marginals(self, rows):
+        m = AgreementMatrix(rows)
+        j = refine(joint(m))
+        mx, my = marginal_x(m), marginal_y(m)
+        want = shannon_entropy(refine(mx)) + shannon_entropy(refine(my)) - shannon_entropy(j)
+        assert mutual_information(j, my, mx) == pytest.approx(want, abs=1e-12)
+        want = shannon_entropy(j) - shannon_entropy(refine(my))
+        assert conditional_entropy(j, my) == pytest.approx(want, abs=1e-12)
+
+    def test_marginal_zero_under_joint_mass(self):
+        # the row's mass is below MARGINAL_TOL, but a sum would divide by the zero
+        j = rdist([[0.5, 0.5 - 1e-12], [1e-12, 0.0]])
+        with pytest.raises(InconsistentMarginalError):
+            conditional_entropy(j, rdist([1.0, 0.0]))
+        with pytest.raises(InconsistentMarginalError):
+            mutual_information(j, rdist([1.0, 0.0]), rdist([0.5, 0.5]))
+
+    def test_joint_must_be_2d(self):
+        u = rdist([0.5, 0.5])
+        with pytest.raises(DistributionError):
+            mutual_information(u, u, u)
+        with pytest.raises(DistributionError):
+            conditional_entropy(u, u)
 
 
 class TestTransposeEntropies:

@@ -10,7 +10,6 @@ from decimal_reference import reference_ia_epsilon
 from helpers import agreement_matrices, count_grids, positive_matrices, small_count_matrices
 from infoagree import _kernels, infotheory, measure
 from infoagree.errors import ContainsZeroError, InternalInvariantError
-from infoagree.infotheory import joint, marginal_x, marginal_y, shannon_entropy
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import IaCase, ia_epsilon, ia_strict
 
@@ -58,11 +57,32 @@ def reference_ia_epsilon_base_e(m):
     return 1.0 + (hx - hxy) / hy
 
 
-def _value_or_error(fn):
-    try:
-        return fn()
-    except InternalInvariantError as e:
-        return f"InternalInvariantError: {e}"
+@st.composite
+def near_independent_matrices(draw):
+    """An outer product u v^T of small and large positive factors plus 0..2
+    noise per cell: MI is tiny there, and so can be min(H(X), H(Y))."""
+    n = draw(st.integers(2, 5))
+
+    def factors(top):
+        small_or_large = st.one_of(st.integers(1, 3), st.integers(2**10, top))
+        return st.lists(small_or_large, min_size=n, max_size=n)
+
+    u, v = draw(factors(2**30)), draw(factors(2**20))
+    noise = draw(
+        st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    return [[a * b + e for b, e in zip(v, row)] for a, row in zip(u, noise)]
+
+
+def _assert_strict_matches_reference(rows):
+    """ia_strict against the decimal value, within 1e-12 or the rounding that
+    MI / H_lo amplifies, u * log2(S) / H_lo times VALUE_SLACK, whichever is
+    larger; any exception fails."""
+    m = AgreementMatrix(rows)
+    ref = reference_ia_epsilon(m.counts.tolist())
+    h_lo = float(min(ref.h_x, ref.h_y))
+    bound = max(1e-12, VALUE_SLACK * U * math.log2(m.total) / h_lo)
+    assert abs(ia_strict(m) - float(ref.value)) <= bound
 
 
 class TestIaStrict:
@@ -85,29 +105,52 @@ class TestIaStrict:
         assert 0.0 <= ia_strict(m) <= 1.0
 
     @given(positive_matrices(max_cell=2**40))
-    def test_bit_identical_to_distribution_route(self, m):
-        # the public distributions are the reference the array route reproduces;
-        # near-independent matrices with large counts cancel below -ROUNDING_TOL
-        # (e.g. [[1, 2**30], [1, 2**30]]), and then both routes must raise alike
-        def reference():
-            h_x = shannon_entropy(marginal_x(m))
-            h_y = shannon_entropy(marginal_y(m))
-            h_xy = shannon_entropy(joint(m))
-            h_lo, h_hi = sorted((h_x, h_y))
-            return measure._absorb_rounding(1 + (h_hi - h_xy) / h_lo)
+    def test_matches_decimal_reference(self, m):
+        _assert_strict_matches_reference(m.counts.tolist())
 
-        assert _value_or_error(lambda: ia_strict(m)) == _value_or_error(reference)
+    @given(near_independent_matrices())
+    def test_matches_decimal_reference_near_independence(self, rows):
+        _assert_strict_matches_reference(rows)
 
-    def test_skips_label_distributions_and_count_identity(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2**30], [1, 2**30]],
+            [[1, 466412543], [1, 466412538]],
+            [[76405, 199436], [28474859208357, 74325699513894]],
+        ],
+    )
+    def test_no_cancellation_near_independence(self, rows):
+        # the entropy-difference form 1 + (H_hi - H_xy) / H_lo raised on all three
+        _assert_strict_matches_reference(rows)
+
+    def test_skips_the_count_identity(self, monkeypatch):
         m = AgreementMatrix(np.random.default_rng(300).integers(1, 10, size=(300, 300)))
         expected = ia_strict(m)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("ia_strict must not call this")
 
-        for name in ("joint", "CategoricalDistribution", "_count_entropy"):
-            monkeypatch.setattr(infotheory, name, forbidden)
+        monkeypatch.setattr(infotheory, "_count_entropy", forbidden)
+        monkeypatch.setattr(_kernels, "xlog2_sum_hist", forbidden)
         assert ia_strict(m) == expected
+
+    def test_goes_through_the_public_distributions(self, monkeypatch):
+        # looked up on the module at call time, so a wrapper there sees every call
+        calls = []
+        for name in ("marginal_x", "marginal_y", "joint", "mutual_information", "shannon_entropy"):
+            original = getattr(infotheory, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(infotheory, name, spy)
+        m = AgreementMatrix([[2, 1], [1, 2]])
+        assert ia_strict(m) == pytest.approx(reference_ia_positive(m), abs=1e-12)
+        assert sorted(calls) == sorted(
+            ["marginal_x", "marginal_y", "joint", "mutual_information"] + ["shannon_entropy"] * 2
+        )
 
 
 class TestIaEpsilonExamples:
