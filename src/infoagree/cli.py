@@ -208,7 +208,14 @@ def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
         return np.array([eps_from])
     if not eps_from > eps_to:
         raise InfoAgreeError("--eps-from must exceed --eps-to")
-    return np.geomspace(eps_from, eps_to, steps)
+    grid = np.geomspace(eps_from, eps_to, steps)
+    # close end points leave too little room between doubles for many steps
+    if not (grid[1:] < grid[:-1]).all():
+        raise InfoAgreeError(
+            f"--eps-steps {steps} is too many between --eps-from {eps_from!r} and "
+            f"--eps-to {eps_to!r}: the grid's points collapse"
+        )
+    return grid
 
 
 def _write_output(text: str, output_path: str | None) -> None:

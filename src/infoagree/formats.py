@@ -32,6 +32,8 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
+# the line boundaries of str.splitlines()
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 # the C string escaper behind json.dumps(str)
 _encode_str = json.encoder.encode_basestring_ascii
@@ -53,58 +55,56 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     Each cell is an optional sign followed by ASCII digits, with spaces
     allowed around it. An optional first row of class labels is detected by
     containing any field that is not such an integer; it must name exactly
-    n classes. Separator "," is fixed; no locale handling.
+    n classes. Lines break where str.splitlines() breaks them, and trailing
+    blank lines are ignored. Separator "," is fixed; no locale handling.
 
-    Text made only of ASCII digits, "," and "\n" after the label row, with
-    no empty field or interior blank line and a square body, is converted in
-    one vectorised call; "\r\n" line ends count as "\n" when the text holds
-    no other "\r". Anything else goes through the per-field parser, which
-    reports the first error with its row and column.
+    After the label row, a body made only of ASCII digits, "," and single
+    "\n" that forms a square is converted in one vectorised call; any other
+    body goes through the per-field converter, which reports the first
+    error with its row and column. Both see the same lines, so they give
+    the same document.
     """
-    # the per-field parser keeps the original text, so its error positions
-    # do not depend on this rewrite; the "in" test spares LF-only text the
-    # slower replace scan
-    lf_text = text.replace("\r\n", "\n") if "\r" in text else text
-    strict = None if "\r" in lf_text else _parse_csv_strict(lf_text)
-    if strict is None:
-        return _parse_csv_slow(text, source_path)
-    counts, labels = strict
-    return MatrixDocument(
-        source_path=source_path,
-        format=CSV_FORMAT,
-        labels=labels,
+    text = _universal_newlines(text)
+    if not text or text.isspace():
+        raise ParseError("empty CSV input")
+    brk = _LINE_BREAK.search(text)
+    first_line = text if brk is None else text[: brk.start()]
+    head = [field.strip() for field in first_line.split(",")]
+    labels: tuple[str, ...] | None = None
+    start = 0  # where the body begins
+    if not all(map(_is_integer_field, head)):
+        labels = tuple(head)
+        start = len(text) if brk is None else brk.end()
+    # each converter takes its own slice of the body, freed when it returns;
+    # a body kept here would live on after np.loadtxt and raise the peak RSS
+    counts = _square_counts(text[start:])
+    if counts is None:
+        lines = text[start:].rstrip().splitlines()  # trailing blank lines go
+        if not lines:
+            raise ParseError("no matrix rows after the label row")
+        matrix = AgreementMatrix(_csv_cells(lines, 1 if labels is None else 2))
+    else:
         # np.loadtxt's array is ours alone, so the matrix keeps it uncopied;
         # the class is looked up on its module because a layer tracer may
         # replace this module's AgreementMatrix name with a plain function
-        matrix=_matrix.AgreementMatrix._from_owned(counts),
+        matrix = _matrix.AgreementMatrix._from_owned(counts)
+    if labels is not None and len(labels) != matrix.n:
+        raise ParseError(f"{len(labels)} labels for an n={matrix.n} matrix", row=1)
+    return MatrixDocument(
+        source_path=source_path, format=CSV_FORMAT, labels=labels, matrix=matrix
     )
 
 
-def _parse_csv_strict(
-    text: str,
-) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
-    """(counts, labels) for text in the strict grammar, else None."""
-    head, _, body = text.partition("\n")
-    fields = head.split(",")
-    labels: tuple[str, ...] | None = None
-    if any(not _is_integer_field(f) for f in fields):
-        # a label row must be exactly the first line as splitlines() sees it
-        if head.splitlines() != [head]:
-            return None
-        labels = tuple(f.strip() for f in fields)
-    else:
-        body = text
+def _square_counts(body: str) -> np.ndarray | None:
+    """body as a square uint64 array, when it is only ASCII digits, "," and
+    single "\n" and np.loadtxt reads it as one; else None."""
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError:
         return None
-    # np.loadtxt rejects empty fields but skips blank lines, so those go here
-    if (
-        not raw
-        or raw.translate(None, b"0123456789,\n")
-        or raw.startswith(b"\n")
-        or b"\n\n" in raw
-    ):
+    # np.loadtxt would skip a blank line, which the per-field converter reports
+    blank_line = not raw or raw.startswith(b"\n") or b"\n\n" in raw
+    if blank_line or raw.translate(None, b"0123456789,\n"):
         return None
     try:
         counts = np.loadtxt(
@@ -112,57 +112,21 @@ def _parse_csv_strict(
         )
     except ValueError:  # an empty field, ragged rows, or a cell above 2**64 - 1
         return None
-    n = counts.shape[0]
-    if counts.shape != (n, n) or (labels is not None and len(labels) != n):
-        return None
-    return counts, labels
+    return counts if counts.shape[0] == counts.shape[1] else None
 
 
-def _parse_csv_slow(text: str, source_path: str) -> MatrixDocument:
-    """Field-by-field parse_csv: the reference, and the path that locates errors."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("empty CSV input")
+def _csv_cells(lines: list[str], first_row: int) -> list[list[int]]:
+    """The cells of nonempty CSV lines numbered from ``first_row``, or a
+    ParseError at the first short row or bad field."""
     rows = [[field.strip() for field in line.split(",")] for line in lines]
-
-    labels: tuple[str, ...] | None = None
-    data_rows = rows
-    first_data_line = 1
-    if any(not _is_integer_field(f) for f in rows[0]):
-        labels = tuple(rows[0])
-        data_rows = rows[1:]
-        first_data_line = 2
-    if not data_rows:
-        raise ParseError("no matrix rows after the label row")
-
-    width = len(data_rows[0])
-    cells: list[list[int]] = []
-    for i, row in enumerate(data_rows):
-        line_no = first_data_line + i
+    width = len(rows[0])
+    for row_no, row in enumerate(rows, first_row):
         if len(row) != width:
-            raise ParseError(
-                f"expected {width} fields, found {len(row)}", row=line_no
-            )
-        parsed_row = []
-        for j, field in enumerate(row):
+            raise ParseError(f"expected {width} fields, found {len(row)}", row=row_no)
+        for col_no, field in enumerate(row, 1):
             if not _is_integer_field(field):
-                raise ParseError(
-                    f"not an integer: {field!r}", row=line_no, col=j + 1
-                )
-            parsed_row.append(int(field))
-        cells.append(parsed_row)
-
-    matrix = AgreementMatrix(cells)
-    if labels is not None and len(labels) != matrix.n:
-        raise ParseError(f"{len(labels)} labels for an n={matrix.n} matrix", row=1)
-    return MatrixDocument(
-        source_path=source_path,
-        format=CSV_FORMAT,
-        labels=labels,
-        matrix=matrix,
-    )
+                raise ParseError(f"not an integer: {field!r}", row=row_no, col=col_no)
+    return [[int(field) for field in row] for row in rows]
 
 
 def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
@@ -269,8 +233,7 @@ def load_document(path: str, format: str | None = None) -> MatrixDocument:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from None
     del data  # the file's bytes need not outlive the parse's own copies
-    if "\r" in text:  # the universal newlines of text mode
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = _universal_newlines(text)
     if format == CSV_FORMAT:
         return parse_csv(text, source_path=path)
     return parse_json(text, source_path=path)
@@ -283,6 +246,13 @@ def document_to_json(doc: MatrixDocument) -> str:
         payload["labels"] = list(doc.labels)
     payload["matrix"] = doc.matrix.counts.tolist()
     return dump_json(payload)
+
+
+def _universal_newlines(text: str) -> str:
+    """text with "\r\n" and lone "\r" line ends made "\n", as text mode reads it."""
+    if "\r" in text:  # the test spares "\n"-only text two replace scans
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _is_integer_field(field: str) -> bool:

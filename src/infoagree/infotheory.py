@@ -44,7 +44,18 @@ class CategoricalDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+        # always a copy, so the caller's array stays writeable and its later writes stay out
+        self._adopt(np.array(self.probs, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _from_owned(cls, probs: np.ndarray):
+        """Validate a C-contiguous float64 array that no one else writes, and
+        keep it without a copy; the public constructor copies its input instead."""
+        dist = object.__new__(cls)
+        dist._adopt(probs)
+        return dist
+
+    def _adopt(self, probs: np.ndarray) -> None:
         if probs.ndim not in (1, 2) or probs.size == 0:
             raise DistributionError("probabilities must form a nonempty 1-d or 2-d array")
         if probs.min() < 0.0:
@@ -72,23 +83,27 @@ class RefinedDistribution(CategoricalDistribution):
 
 def marginal_x(matrix: AgreementMatrix) -> CategoricalDistribution:
     """Rater X's class distribution: column sums over the grand total."""
-    return CategoricalDistribution(matrix.col_sums().astype(np.float64) / float(matrix.total))
+    return CategoricalDistribution._from_owned(
+        matrix.col_sums().astype(np.float64) / float(matrix.total)
+    )
 
 
 def marginal_y(matrix: AgreementMatrix) -> CategoricalDistribution:
     """Rater Y's class distribution: row sums over the grand total."""
-    return CategoricalDistribution(matrix.row_sums().astype(np.float64) / float(matrix.total))
+    return CategoricalDistribution._from_owned(
+        matrix.row_sums().astype(np.float64) / float(matrix.total)
+    )
 
 
 def joint(matrix: AgreementMatrix) -> CategoricalDistribution:
     """The joint class distribution: the n x n cells over the grand total."""
-    return CategoricalDistribution(matrix.counts / float(matrix.total))
+    return CategoricalDistribution._from_owned(matrix.counts / float(matrix.total))
 
 
 def refine(dist: CategoricalDistribution) -> RefinedDistribution:
     """The same probabilities with the zero cells masked out of every sum; a
     valid distribution always has nonempty support, so this never fails."""
-    return RefinedDistribution(dist.probs)
+    return RefinedDistribution._from_owned(dist.probs)  # read-only, so shared
 
 
 def shannon_entropy(dist: CategoricalDistribution) -> float:
@@ -211,14 +226,16 @@ def _sum_cells(dist: CategoricalDistribution) -> np.ndarray | bool:
 
 def _xlog2_ratio_sum(dist, a: np.ndarray, b: np.ndarray) -> float:
     """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the 2-d ``dist``'s cells,
-    in one scratch buffer. A masked cell has p = 0 and a ratio of 1, so one dot
-    product over the whole array adds nothing for it."""
+    in one scratch buffer. A masked cell has p = 0 and a ratio of 1, so one sum
+    over the whole array adds nothing for it. NumPy's pairwise sum, unlike a
+    BLAS dot product, gives the same bits for any thread count."""
     p, cells = dist.probs, _sum_cells(dist)
     ratio = np.empty_like(p) if cells is True else np.ones_like(p)
     np.divide(p, a[:, None], out=ratio, where=cells)
     np.divide(ratio, b, out=ratio, where=cells)
     np.log2(ratio, out=ratio, where=cells)
-    return float(np.vdot(p, ratio))
+    np.multiply(p, ratio, out=ratio)
+    return float(ratio.sum())
 
 
 def _finalize_entropy(h: float, slack: float = TOTAL_TOL) -> float:

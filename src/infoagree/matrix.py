@@ -64,16 +64,6 @@ class AgreementMatrix:
         self.total = total
         self.max_cell = max_cell
 
-    @classmethod
-    def _from_trusted(cls, counts: np.ndarray, total: int, max_cell: int) -> "AgreementMatrix":
-        """Wrap an already-validated read-only uint64 array without rechecking."""
-        obj = object.__new__(cls)
-        obj.counts = counts
-        obj.n = counts.shape[0]
-        obj.total = total
-        obj.max_cell = max_cell
-        return obj
-
     def row_sums(self) -> np.ndarray:
         """Per-row cell sums (rater Y's class totals), length n, summing to total."""
         return self.counts.sum(axis=1)
@@ -84,9 +74,7 @@ class AgreementMatrix:
 
     def transpose(self) -> "AgreementMatrix":
         """The matrix with the raters' roles swapped: result[x][y] = counts[y][x]."""
-        flipped = np.ascontiguousarray(self.counts.T)
-        flipped.setflags(write=False)
-        return AgreementMatrix._from_trusted(flipped, self.total, self.max_cell)
+        return AgreementMatrix._from_owned(np.ascontiguousarray(self.counts.T))
 
     def count_non_null_rows(self) -> int:
         """Number of rows with a positive sum (1 <= result <= n)."""

@@ -159,6 +159,22 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--eps-from", "1e-12", "--eps-to", "1e-2", table_csv)
         assert code == 1
 
+    def test_collapsing_grid_exits_1(self, capsys, table_csv):
+        code, out, err = run(
+            capsys,
+            "sweep",
+            "--eps-from", "0.01",
+            "--eps-to", "0.00999999999999",
+            "--eps-steps", "1000",
+            table_csv,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --eps-steps 1000 is too many between --eps-from 0.01 and "
+            "--eps-to 0.00999999999999: the grid's points collapse\n"
+        )
+
     def test_custom_grid(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("2,1\n0,1\n")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csv_reference import reference_parse_csv
 from infoagree import __version__, formats
 from infoagree.errors import (
     AllZeroError,
@@ -117,18 +118,27 @@ class TestParseCsv:
     def test_large_labelled_crlf_csv_takes_the_array_path(self, monkeypatch):
         _check_array_path(monkeypatch, "\r\n")
 
+    def test_large_labelled_cr_csv_takes_the_array_path(self, monkeypatch):
+        _check_array_path(monkeypatch, "\r")
 
-def _check_array_path(monkeypatch, eol):
-    """A labelled 300x300 CSV with the given line ends parses without the
-    per-field parser."""
+    @pytest.mark.parametrize("label_eol", ["\v", "\x1c", "\u2028"])
+    def test_label_row_ended_by_another_line_break_takes_the_array_path(
+        self, monkeypatch, label_eol
+    ):
+        _check_array_path(monkeypatch, "\n", label_eol)
 
-    def refuse(text, source_path):
-        raise AssertionError("well-formed CSV fell back to the per-field parser")
 
-    monkeypatch.setattr(formats, "_parse_csv_slow", refuse)
+def _check_array_path(monkeypatch, eol, label_eol=None):
+    """A labelled 300x300 CSV with the given line ends (``label_eol`` after
+    the label row) parses without the per-field converter."""
+
+    def refuse(lines, first_row):
+        raise AssertionError("well-formed CSV fell back to the per-field converter")
+
+    monkeypatch.setattr(formats, "_csv_cells", refuse)
     n = 300
     counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
-    text = ",".join(f"c{j}" for j in range(n)) + eol
+    text = ",".join(f"c{j}" for j in range(n)) + (label_eol or eol)
     text += "".join(",".join(map(str, row)) + eol for row in counts.tolist())
     doc = parse_csv(text)
     assert doc.labels == tuple(f"c{j}" for j in range(n))
@@ -151,7 +161,10 @@ def _outcome(parse, text):
 
 
 # pieces spliced into generated texts to break the strict grammar
-_NOISE = [",", "\n", "\n\n", "\r\n", "\r", " ", "\t", "-", "+", "_", "0", "\uff15", "x", "\u2028"]
+_NOISE = [
+    ",", "\n", "\n\n", "\r\n", "\r", " ", "\t", "-", "+", "_", "0", "\uff15", "x", "\u2028",
+    "\v", "\f", "\x1c", "\x1f", "\x85",
+]
 
 
 @st.composite
@@ -166,7 +179,7 @@ def csv_texts(draw):
     n_labels = draw(st.sampled_from([None] * 3 + [width] * 3 + [width + 1, width - 1]))
     if n_labels is not None:
         lines.insert(0, ",".join(f"c{j}" for j in range(n_labels)))
-    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\v"]))
     text = eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2, eol + " " + eol]))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         at = draw(st.integers(0, len(text)))
@@ -178,7 +191,7 @@ def csv_texts(draw):
 
 
 class TestCsvFastPathEquivalence:
-    """parse_csv must give what the per-field parser gives, or fail the same way."""
+    """parse_csv must give what the reference parser gives, or fail the same way."""
 
     @pytest.mark.parametrize(
         "text",
@@ -197,18 +210,34 @@ class TestCsvFastPathEquivalence:
             pytest.param("a,b\n", id="labels-only"),
             pytest.param("\f5,1\n1,1", id="form-feed-before-first-cell"),
             pytest.param("1" + "0" * 5000 + ",1\n1,1", id="5001-digit-cell"),
+            pytest.param("c0,c1\n\n1,2\n3,4", id="blank-line-before-a-square-body"),
+            pytest.param("1,2\r3,4\r", id="lone-cr"),
+            pytest.param("a,b\r\r\n1,2\r\n3,4", id="cr-then-crlf-after-labels"),
+            pytest.param("a,b\v1,2\n3,4", id="label-row-ended-by-vt"),
+            pytest.param("a,b\x1c1,2\x1e3,4", id="label-row-ended-by-fs"),
+            pytest.param("a,b\u20281,2\n3,4\n\x85 \n", id="unicode-line-breaks"),
+            pytest.param("1,2\n3,4\x1f", id="trailing-unit-separator"),
+            pytest.param("1,2\n3,4 \t\n \f", id="trailing-blank-lines"),
+            pytest.param("\n1,2\n3,4", id="leading-blank-line"),
+            pytest.param(" \t\n\v ", id="only-whitespace"),
+            pytest.param("a,b", id="labels-without-a-line-end"),
+            pytest.param("3,x\n1,2", id="bad-field-in-first-row"),
         ],
     )
     def test_pinned_cases(self, text):
-        assert _outcome(parse_csv, text) == _outcome(formats._parse_csv_slow, text)
+        assert _outcome(parse_csv, text) == _outcome(reference_parse_csv, text)
 
     @given(csv_texts())
     def test_generated_texts(self, text):
-        assert _outcome(parse_csv, text) == _outcome(formats._parse_csv_slow, text)
+        assert _outcome(parse_csv, text) == _outcome(reference_parse_csv, text)
 
-    @given(st.text(alphabet="0123456789,\n\r -_a\uff15", max_size=40))
+    @given(
+        st.text(
+            alphabet="0123456789,\n\r -_a\uff15\v\f\x1c\x1f\x85\u2028\t", max_size=40
+        )
+    )
     def test_arbitrary_texts(self, text):
-        assert _outcome(parse_csv, text) == _outcome(formats._parse_csv_slow, text)
+        assert _outcome(parse_csv, text) == _outcome(reference_parse_csv, text)
 
 
 class TestParseJson:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,31 @@ class TestDistributionTypes:
         d = dist([0.5, 0.5])
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_callers_array_stays_its_own(self):
+        a = np.array([0.5, 0.5])
+        d = CategoricalDistribution(a)
+        a[0] = 0.25  # still writeable
+        assert d.probs.tolist() == [0.5, 0.5]
+        assert not np.shares_memory(a, d.probs)
+        b = np.array([0.25, 0.75])
+        r = RefinedDistribution(b[::-1])  # a view is copied too
+        b[1] = 0.0
+        assert r.probs.tolist() == [0.75, 0.25]
+
+    def test_matrix_distributions_keep_their_fresh_arrays(self):
+        n = 300
+        m = AgreementMatrix(np.random.default_rng(1).integers(0, 10, size=(n, n)))
+        tracemalloc.start()
+        try:
+            j = joint(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8  # the one n x n float64 array, not a copy of it
+        for d in (j, marginal_x(m), marginal_y(m), refine(j)):
+            assert d.probs.flags.c_contiguous and not d.probs.flags.writeable
+        assert refine(j).probs is j.probs  # both read-only, so shared
 
     def test_support_size(self):
         assert dist([0.5, 0.0, 0.5]).support_size() == 2

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -151,6 +154,27 @@ class TestIaStrict:
         assert sorted(calls) == sorted(
             ["marginal_x", "marginal_y", "joint", "mutual_information"] + ["shannon_entropy"] * 2
         )
+
+
+    def test_value_does_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import numpy as np\n"
+            "from infoagree.matrix import AgreementMatrix\n"
+            "from infoagree.measure import ia_strict\n"
+            "counts = np.random.default_rng(3).integers(1, 10, size=(800, 800))\n"
+            "print(repr(ia_strict(AgreementMatrix(counts))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(infotheory.__file__))
+        values = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True,
+            )
+            values.append(done.stdout)
+        assert values[0] == values[1]
 
 
 class TestIaEpsilonExamples:
@@ -328,9 +352,8 @@ class TestCountEntropyRoute:
         assert routes == ["generic"]
 
     def test_ia_epsilon_routes_cells_by_the_cached_max_cell(self, routes):
-        counts = np.ones((3, 3), dtype=np.uint64)
-        counts.setflags(write=False)
-        m = AgreementMatrix._from_trusted(counts, 9, max_cell=9)  # max_cell stated too high
+        m = AgreementMatrix(np.ones((3, 3), dtype=np.uint64))
+        m.max_cell = 9  # stated too high: the true max of 1 would route the cells to the histogram
         ia_epsilon(m)
         assert routes == ["generic", "generic", "generic"]
 
