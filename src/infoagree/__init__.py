@@ -29,6 +29,7 @@ from infoagree.errors import (
     NonPositiveWeightError,
     NotSquareError,
     ParseError,
+    WeightOverflowError,
     ZeroProbabilityError,
 )
 from infoagree.infotheory import (
@@ -90,6 +91,7 @@ __all__ = [
     "NotSquareError",
     "ParseError",
     "RefinedDistribution",
+    "WeightOverflowError",
     "ZeroProbabilityError",
     "check_convergence",
     "conditional_entropy",

@@ -57,7 +57,12 @@ class ZeroProbabilityError(DistributionError):
 
 
 class NonPositiveWeightError(DistributionError):
-    """entropy_from_counts needs strictly positive weights."""
+    """entropy_from_counts needs strictly positive, finite weights."""
+
+
+class WeightOverflowError(DistributionError):
+    """entropy_from_counts' weights are too large for float64: their sum, or
+    the sum of w * log2(w) over them, would overflow."""
 
 
 class InconsistentTotalError(DistributionError):

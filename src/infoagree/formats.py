@@ -52,17 +52,17 @@ class MatrixDocument:
 def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     """Parse comma-separated nonnegative integer rows.
 
-    Each cell is an optional sign followed by ASCII digits, with spaces
-    allowed around it. An optional first row of class labels is detected by
-    containing any field that is not such an integer; it must name exactly
-    n classes. Lines break where str.splitlines() breaks them, and trailing
+    Each cell is an optional sign followed by ASCII digits, with spaces or
+    tabs allowed around it. An optional first row of class labels is
+    detected by containing any field that is not such an integer; it must
+    name exactly n classes. Lines break where str.splitlines() breaks them, and trailing
     blank lines are ignored. Separator "," is fixed; no locale handling.
 
-    After the label row, a body made only of ASCII digits, "," and single
-    "\n" that forms a square is converted in one vectorised call; any other
-    body goes through the per-field converter, which reports the first
-    error with its row and column. Both see the same lines, so they give
-    the same document.
+    After the label row, a body made only of ASCII digits, ",", spaces,
+    tabs and "\n", with no blank line before its trailing blank lines, that
+    forms a square is converted in one vectorised call; any other body goes
+    through the per-field converter, which reports the first error with its
+    row and column. Both see the same lines, so they give the same document.
     """
     text = _universal_newlines(text)
     if not text or text.isspace():
@@ -96,21 +96,32 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
 
 
 def _square_counts(body: str) -> np.ndarray | None:
-    """body as a square uint64 array, when it is only ASCII digits, "," and
-    single "\n" and np.loadtxt reads it as one; else None."""
+    """body as a square uint64 array, when it is only ASCII digits, ",",
+    " ", "\t" and "\n", has no empty line before its trailing run of blanks,
+    and np.loadtxt reads it as one; else None."""
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError:
         return None
-    # np.loadtxt would skip a blank line, which the per-field converter reports
-    blank_line = not raw or raw.startswith(b"\n") or b"\n\n" in raw
-    if blank_line or raw.translate(None, b"0123456789,\n"):
+    if raw.translate(None, b"0123456789, \t\n"):
         return None
+    # the trailing run of blanks, which the per-field converter drops, starts at end
+    end = len(raw)
+    while end and raw[end - 1] in b" \t\n":
+        end -= 1
+    # np.loadtxt would skip an empty line, which the per-field converter reports;
+    # a line of spaces or tabs it rejects by itself
+    if not end or raw.startswith(b"\n") or raw.find(b"\n\n", 0, end) >= 0:
+        return None
+    # so it must stop before a line of spaces or tabs in the trailing run
+    tail = raw[end:].lstrip(b" \t")  # the run after the last line's own blanks
+    rows = raw.count(b"\n", 0, end) + 1 if tail.strip(b"\n") else None
     try:
         counts = np.loadtxt(
-            io.BytesIO(raw), delimiter=",", dtype=np.uint64, comments=None, ndmin=2
+            io.BytesIO(raw), delimiter=",", dtype=np.uint64, comments=None, ndmin=2,
+            max_rows=rows,
         )
-    except ValueError:  # an empty field, ragged rows, or a cell above 2**64 - 1
+    except ValueError:  # an empty or spaced-out field, ragged rows, or a cell above 2**64 - 1
         return None
     return counts if counts.shape[0] == counts.shape[1] else None
 

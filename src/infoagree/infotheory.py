@@ -21,6 +21,7 @@ from infoagree.errors import (
     InconsistentTotalError,
     InternalInvariantError,
     NonPositiveWeightError,
+    WeightOverflowError,
     ZeroProbabilityError,
 )
 from infoagree.matrix import AgreementMatrix
@@ -127,9 +128,14 @@ def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | No
     w = np.ascontiguousarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise NonPositiveWeightError("weights must form a nonempty 1-d vector")
+    if not np.isfinite(w).all():
+        raise NonPositiveWeightError("weights must be finite")
     if (w <= 0.0).any():
         raise NonPositiveWeightError("weights must be strictly positive")
-    exact_sum = math.fsum(w)
+    try:
+        exact_sum = math.fsum(w)
+    except OverflowError:
+        raise WeightOverflowError("weights sum past the float64 range") from None
     if total is None:
         c = exact_sum
     else:
@@ -140,6 +146,9 @@ def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | No
             raise InconsistentTotalError(
                 f"weights sum to {exact_sum!r}, stated total is {c!r}"
             )
+    # sum(w * log2(w)) is at most c * log2(c); the factor 2 leaves room for rounding
+    if math.isinf(2.0 * c * math.log2(c)):
+        raise WeightOverflowError(f"weights sum to {c!r}, too large for sum(w * log2(w))")
     return _count_entropy(w, w.size, c)
 
 
@@ -166,11 +175,11 @@ def _count_entropy(
         return 0.0
     if counts.dtype == np.uint64 and total < support * support:
         if top is None:
-            top = int(counts.max())
+            top = int(np.maximum.reduce(counts, axis=None))
         if top < support:
             h = math.log2(total) - _kernels.xlog2_sum_hist(counts, top) / total
             return _finalize_entropy(h)
-    h = math.log2(total) - _kernels.xlog2_sum(counts) / total
+    h = math.log2(total) - _kernels.xlog2_sum(counts, support) / total
     return _finalize_entropy(h)
 
 

@@ -26,6 +26,12 @@ from infoagree.errors import (
 
 U64_MAX = 2**64 - 1
 
+# The reductions behind ndarray.max/.min/.sum, called directly: on the small
+# matrices of a bootstrap the method wrappers cost more than the arithmetic.
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+_sum = np.add.reduce
+
 
 class AgreementMatrix:
     """Immutable n-by-n matrix of nonnegative integer classification counts.
@@ -54,7 +60,7 @@ class AgreementMatrix:
         n = arr.shape[0]
         if n < 2:
             raise DimensionTooSmallError(f"need at least 2 classes, got {n}")
-        max_cell = int(arr.max())
+        max_cell = int(_max(arr, axis=None))
         total = _exact_total(arr, max_cell)
         if total == 0:
             raise AllZeroError("agreement matrix must contain at least one positive cell")
@@ -66,11 +72,11 @@ class AgreementMatrix:
 
     def row_sums(self) -> np.ndarray:
         """Per-row cell sums (rater Y's class totals), length n, summing to total."""
-        return self.counts.sum(axis=1)
+        return _sum(self.counts, axis=1)
 
     def col_sums(self) -> np.ndarray:
         """Per-column cell sums (rater X's class totals), length n, summing to total."""
-        return self.counts.sum(axis=0)
+        return _sum(self.counts, axis=0)
 
     def transpose(self) -> "AgreementMatrix":
         """The matrix with the raters' roles swapped: result[x][y] = counts[y][x]."""
@@ -101,7 +107,9 @@ class AgreementMatrix:
 def _coerce_counts(rows) -> np.ndarray:
     """Turn caller input into a fresh uint64 (n, n) array, or raise a MatrixError."""
     if isinstance(rows, np.ndarray):
-        return _coerce_ndarray(rows)
+        # a subclass such as np.matrix or a masked array is read as its plain
+        # array, whose reductions have the shapes the measure relies on
+        return _coerce_ndarray(np.asarray(rows))
     return _coerce_sequences(rows)
 
 
@@ -115,7 +123,7 @@ def _coerce_ndarray(arr: np.ndarray, copy: bool = True) -> np.ndarray:
     if not issubclass(arr.dtype.type, np.integer):
         raise NonIntegerCellError(f"cells must be integers, got dtype {arr.dtype}")
     # only a signed dtype can hold a negative cell; unsigned input skips the scan
-    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
+    if arr.dtype.kind == "i" and arr.size and _min(arr, axis=None) < 0:
         y, x = np.argwhere(arr < 0)[0]
         raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
     return arr.astype(np.uint64, copy=copy)
@@ -152,9 +160,9 @@ def _exact_total(arr: np.ndarray, max_cell: int) -> int:
     summed apart; each of those sums is exact for up to 2**32 cells.
     """
     if max_cell <= U64_MAX // arr.size:
-        return int(arr.sum(dtype=np.uint64))
-    high = int((arr >> 32).sum(dtype=np.uint64))
-    low = int((arr & 0xFFFFFFFF).sum(dtype=np.uint64))
+        return int(_sum(arr, axis=None, dtype=np.uint64))
+    high = int(_sum(arr >> 32, axis=None, dtype=np.uint64))
+    low = int(_sum(arr & 0xFFFFFFFF, axis=None, dtype=np.uint64))
     exact = (high << 32) + low
     if exact > U64_MAX:
         raise CountOverflowError(f"total count {exact} exceeds 64-bit range")

@@ -75,7 +75,7 @@ def test_load_document_reaches_parse_csv_through_the_module(monkeypatch, tmp_pat
 
 def test_traced_cli_run_records_every_ingest_layer(capsys, tmp_path):
     path = tmp_path / "m.csv"
-    path.write_text("a, b\n1, 2\n3, 4\n")  # spaced cells take the per-field path
+    path.write_text("a,b\n+1,2\n3,4\n")  # a signed cell takes the per-field path
     tracer = SPANS.Tracer()
     tracer.install(SPANS.SITES)
     try:

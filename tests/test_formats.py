@@ -127,10 +127,19 @@ class TestParseCsv:
     ):
         _check_array_path(monkeypatch, "\n", label_eol)
 
+    @pytest.mark.parametrize("sep", [", ", " , ", "\t,", " \t, \t"])
+    def test_blanks_around_cells_take_the_array_path(self, monkeypatch, sep):
+        _check_array_path(monkeypatch, "\n", sep=sep)
 
-def _check_array_path(monkeypatch, eol, label_eol=None):
+    @pytest.mark.parametrize("tail", ["\n", " ", "\t\n", "\n \n", " \n\t\n\n"])
+    def test_trailing_blank_lines_take_the_array_path(self, monkeypatch, tail):
+        _check_array_path(monkeypatch, "\n", tail=tail)
+
+
+def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail=""):
     """A labelled 300x300 CSV with the given line ends (``label_eol`` after
-    the label row) parses without the per-field converter."""
+    the label row), cell separator and text after the last line end parses
+    without the per-field converter."""
 
     def refuse(lines, first_row):
         raise AssertionError("well-formed CSV fell back to the per-field converter")
@@ -139,7 +148,7 @@ def _check_array_path(monkeypatch, eol, label_eol=None):
     n = 300
     counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
     text = ",".join(f"c{j}" for j in range(n)) + (label_eol or eol)
-    text += "".join(",".join(map(str, row)) + eol for row in counts.tolist())
+    text += "".join(sep.join(map(str, row)) + eol for row in counts.tolist()) + tail
     doc = parse_csv(text)
     assert doc.labels == tuple(f"c{j}" for j in range(n))
     assert np.array_equal(doc.matrix.counts, counts)
@@ -175,12 +184,17 @@ def csv_texts(draw):
     rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=n, max_size=n))
     if draw(st.integers(0, 3)) == 0:
         rows[-1][-1] = draw(st.sampled_from([U64_MAX, U64_MAX + 1, 10**25]))
-    lines = [",".join(draw(st.sampled_from(["", "", "", "0"])) + str(v) for v in row) for row in rows]
+    pad = st.sampled_from(["", "", "", " ", "\t", "  ", " \t"])
+    lines = [
+        ",".join(draw(pad) + draw(st.sampled_from(["", "", "", "0"])) + str(v) + draw(pad) for v in row)
+        for row in rows
+    ]
     n_labels = draw(st.sampled_from([None] * 3 + [width] * 3 + [width + 1, width - 1]))
     if n_labels is not None:
         lines.insert(0, ",".join(f"c{j}" for j in range(n_labels)))
     eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\v"]))
-    text = eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2, eol + " " + eol]))
+    tail = ["", eol, eol * 2, eol + " " + eol, " ", "\t" + eol, eol + "\t", eol * 2 + " \t" + eol * 3]
+    text = eol.join(lines) + draw(st.sampled_from(tail))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         at = draw(st.integers(0, len(text)))
         if draw(st.booleans()):
@@ -222,6 +236,18 @@ class TestCsvFastPathEquivalence:
             pytest.param(" \t\n\v ", id="only-whitespace"),
             pytest.param("a,b", id="labels-without-a-line-end"),
             pytest.param("3,x\n1,2", id="bad-field-in-first-row"),
+            pytest.param("1 ,\t2\n\t3, 4 ", id="spaces-and-tabs-around-cells"),
+            pytest.param("a,b\n1, 2\n3, 4\n\n", id="two-newlines-at-the-end"),
+            pytest.param("1,2\n3,4 ", id="trailing-space"),
+            pytest.param("1,2\n3,4\n \n\t\n", id="trailing-lines-of-blanks"),
+            pytest.param("1,2\n \n3,4", id="interior-line-of-spaces"),
+            pytest.param("1,2\n\t\n3,4\n", id="interior-line-of-a-tab"),
+            pytest.param(" \n1,2\n3,4", id="leading-line-of-spaces"),
+            pytest.param("1, ,2\n3,4,5\n6,7,8", id="field-of-spaces"),
+            pytest.param("1 2,3\n4,5", id="space-inside-a-cell"),
+            pytest.param(f" {U64_MAX}\t,1\n1,0", id="spaced-cell-2**64-1"),
+            pytest.param(f"{U64_MAX + 1} ,1\n1,0", id="spaced-cell-2**64"),
+            pytest.param("5\n \n", id="one-cell-then-a-line-of-spaces"),
         ],
     )
     def test_pinned_cases(self, text):

@@ -12,6 +12,7 @@ from infoagree.errors import (
     InconsistentMarginalError,
     InconsistentTotalError,
     NonPositiveWeightError,
+    WeightOverflowError,
     ZeroProbabilityError,
 )
 from infoagree.infotheory import (
@@ -198,6 +199,20 @@ class TestEntropyFromCounts:
             entropy_from_counts([1, -1, 2])
         with pytest.raises(NonPositiveWeightError):
             entropy_from_counts([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(NonPositiveWeightError, match="finite"):
+            entropy_from_counts([1.0, bad])
+
+    def test_rejects_weights_whose_sum_overflows(self):
+        with pytest.raises(WeightOverflowError):
+            entropy_from_counts([1e308, 1e308])
+
+    def test_rejects_weights_whose_xlog2_sum_overflows(self):
+        with pytest.raises(WeightOverflowError):
+            entropy_from_counts([1e306, 1e306])  # sum(w * log2(w)) ~ 2.0e309
+        assert entropy_from_counts([1e300, 1e300]) == 1.0
 
     def test_rejects_inconsistent_total(self):
         with pytest.raises(InconsistentTotalError):

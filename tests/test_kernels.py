@@ -90,3 +90,65 @@ def test_hist_kernel_ignores_order_and_layout():
     }
     for name, counts in layouts.items():
         assert _kernels.xlog2_sum_hist(counts, 9) == want, name
+
+
+def _layouts(values):
+    """``values`` as float64 arrays in the layouts callers may hand the kernel."""
+    base = np.array(values, dtype=np.float64)
+    padded = np.zeros(2 * base.size, dtype=np.float64)
+    padded[::2] = base
+    buf = bytearray(8 * base.size + 1)
+    misaligned = np.ndarray(base.size, dtype=np.float64, buffer=buf, offset=1)
+    misaligned[:] = base
+    read_only = base.copy()
+    read_only.setflags(write=False)
+    return [base, padded[::2], misaligned, read_only]
+
+
+@given(
+    st.lists(st.floats(min_value=1e-300, max_value=1e18), min_size=1, max_size=300),
+    st.lists(st.integers(0, 299), max_size=20),
+)
+def test_known_support_gives_the_same_bits(values, zero_at):
+    # all positive: the kernel skips the selection; with zeros it selects
+    for v in _layouts(values):
+        assert _kernels.xlog2_sum(v, positive=v.size) == _kernels.xlog2_sum(v)
+    with_zeros = list(values)
+    for i in zero_at:
+        with_zeros[i % len(with_zeros)] = 0.0
+    for v in _layouts(with_zeros):
+        positive = int(np.count_nonzero(v))
+        assert _kernels.xlog2_sum(v, positive=positive) == _kernels.xlog2_sum(v)
+
+
+@given(st.lists(st.integers(1, 2**40), min_size=1, max_size=300))
+def test_known_support_of_integer_counts_gives_the_same_bits(counts):
+    arr = np.array(counts, dtype=np.uint64)
+    assert _kernels.xlog2_sum(arr, positive=arr.size) == _kernels.xlog2_sum(arr)
+
+
+def arange_xlog2_sum_hist(counts, top):
+    """The histogram sum with k and log2(k) built for this call alone."""
+    hist = np.bincount(np.ravel(counts).view(np.int64), minlength=top + 1)[1:]
+    k = np.arange(1, hist.size + 1, dtype=np.float64)
+    return float((hist * k * np.log2(k)).sum())
+
+
+def test_hist_kernel_table_matches_per_call_log2():
+    table = _kernels._LOG2_TABLE
+    length = table.shape[1]
+    rng = np.random.default_rng(11)
+    # below, at and past the length of the table, which a longer histogram leaves as it is
+    for top in [1, 2, 9, 143, length - 1, length, length + 1, 3 * length + 5]:
+        counts = rng.integers(0, top + 1, size=3 * top + 7).astype(np.uint64)
+        counts[0] = top
+        assert _kernels.xlog2_sum_hist(counts, top) == arange_xlog2_sum_hist(counts, top), top
+        assert _kernels._LOG2_TABLE is table and table.shape[1] == length
+
+
+def test_hist_kernel_tables_are_read_only():
+    for table in (_kernels._LOG2_TABLE, _kernels._log2_table(5)):
+        with pytest.raises(ValueError):
+            table[1, 0] = 1.0
+        with pytest.raises(ValueError):
+            table[0] *= 2.0

@@ -13,6 +13,7 @@ from infoagree.errors import (
     NotSquareError,
 )
 from infoagree.matrix import U64_MAX, AgreementMatrix
+from infoagree.measure import ia_epsilon
 
 
 class TestConstruction:
@@ -94,6 +95,22 @@ class TestConstruction:
         assert int(m.counts[0, 0]) == big
         with pytest.raises(ValueError):
             m.counts[0, 0] = 7
+
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    @pytest.mark.parametrize("subclass", [np.matrix, np.ma.masked_array])
+    def test_ndarray_subclass_input_is_held_as_a_plain_array(self, subclass):
+        plain = AgreementMatrix(np.array([[5, 0, 1], [2, 7, 0], [0, 3, 9]]))
+        m = AgreementMatrix(subclass([[5, 0, 1], [2, 7, 0], [0, 3, 9]]))
+        assert type(m.counts) is np.ndarray
+        assert (m.n, m.total, m.max_cell) == (3, 27, 9)
+        assert m.row_sums().tolist() == [6, 9, 12]
+        assert ia_epsilon(m) == ia_epsilon(plain)
+
+    def test_masked_array_is_read_without_its_mask(self):
+        hidden = [[True, False], [False, False]]
+        assert AgreementMatrix(np.ma.masked_array([[1, 2], [3, 4]], mask=hidden)).total == 10
+        with pytest.raises(NegativeCellError):
+            AgreementMatrix(np.ma.masked_array([[-1, 2], [3, 4]], mask=hidden))
 
 
 class TestExactTotal:

@@ -320,9 +320,9 @@ class TestCountEntropyRoute:
             taken.append("hist")
             return hist(counts, top)
 
-        def spy_generic(counts):
+        def spy_generic(counts, *rest):
             taken.append("generic")
-            return generic(counts)
+            return generic(counts, *rest)
 
         monkeypatch.setattr(_kernels, "xlog2_sum_hist", spy_hist)
         monkeypatch.setattr(_kernels, "xlog2_sum", spy_generic)
