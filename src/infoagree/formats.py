@@ -250,15 +250,6 @@ def load_document(path: str, format: str | None = None) -> MatrixDocument:
     return parse_json(text, source_path=path)
 
 
-def document_to_json(doc: MatrixDocument) -> str:
-    """Serialize a document back to the JSON input format (round-trip safe)."""
-    payload: dict[str, Any] = {}
-    if doc.labels is not None:
-        payload["labels"] = list(doc.labels)
-    payload["matrix"] = doc.matrix.counts.tolist()
-    return dump_json(payload)
-
-
 def _universal_newlines(text: str) -> str:
     """text with "\r\n" and lone "\r" line ends made "\n", as text mode reads it."""
     if "\r" in text:  # the test spares "\n"-only text two replace scans

@@ -146,6 +146,14 @@ def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | No
             raise InconsistentTotalError(
                 f"weights sum to {exact_sum!r}, stated total is {c!r}"
             )
+    top = float(np.maximum.reduce(w))
+    if top < 1.0:
+        # below 1 each w * log2(w) may be a subnormal with few bits left; a
+        # power of two moves the largest weight into [1, 2) exactly and
+        # leaves the entropy as it is
+        shift = 1 - math.frexp(top)[1]
+        w = np.ldexp(w, shift)
+        c = math.ldexp(c, shift)
     # sum(w * log2(w)) is at most c * log2(c); the factor 2 leaves room for rounding
     if math.isinf(2.0 * c * math.log2(c)):
         raise WeightOverflowError(f"weights sum to {c!r}, too large for sum(w * log2(w))")

@@ -1,4 +1,5 @@
-"""A stdlib-``decimal`` reference for the closed form of ia_epsilon.
+"""Stdlib-``decimal`` references for the closed form of ia_epsilon and for
+the oracle's epsilon matrices.
 
 Shares no code with the package or with the benchmark's reference. Each
 entropy is -sum(p * ln p) / ln 2 over the probabilities p = c / S of the
@@ -59,3 +60,33 @@ def reference_ia_epsilon(rows) -> ReferenceResult:
         mutual = ctx.subtract(ctx.add(h_x, h_y), h_xy)
         value = ctx.divide(mutual, min(h_x, h_y))
     return ReferenceResult(value=value, h_x=h_x, h_y=h_y, h_xy=h_xy, m=m, l=l)
+
+
+@dataclass(frozen=True)
+class EpsReferenceResult:
+    value: Decimal
+    h_x: Decimal
+    h_y: Decimal
+    h_xy: Decimal
+
+
+def reference_eps_evaluation(rows, eps: float) -> EpsReferenceResult:
+    """The plain measure of the literal epsilon matrix: ``rows`` (a square
+    list of lists of nonnegative integers) with every zero replaced by the
+    float ``eps``, valued as I(X; Y) / min(H(X), H(Y)).
+
+    eps is a binary fraction num / den, so scaling every cell by den makes
+    the matrix integer without changing any entropy. H(X) + H(Y) - H(XY)
+    cancels about as many digits as S / eps has, so the precision is
+    PRECISION plus twice that many.
+    """
+    num, den = float(eps).as_integer_ratio()
+    scaled = [[int(c) * den if c else num for c in row] for row in rows]
+    total = sum(map(sum, scaled))
+    ctx = decimal.Context(prec=PRECISION + 2 * len(str(total // num)), Emin=-999999)
+    h_x = _entropy_bits([sum(col) for col in zip(*scaled)], ctx)
+    h_y = _entropy_bits([sum(row) for row in scaled], ctx)
+    h_xy = _entropy_bits((c for row in scaled for c in row), ctx)
+    mutual = ctx.subtract(ctx.add(h_x, h_y), h_xy)
+    value = ctx.divide(mutual, min(h_x, h_y))
+    return EpsReferenceResult(value=value, h_x=h_x, h_y=h_y, h_xy=h_xy)

@@ -111,6 +111,14 @@ class TestSweep:
         assert report["convergence"]["passed"] is True
         assert report["convergence"]["within_final_tol"] is True
 
+    def test_skewed_single_column_exits_0(self, capsys, tmp_path):
+        # the old epsilon-matrix evaluation cancelled below 0 here and exited 2
+        path = tmp_path / "m.csv"
+        path.write_text("871842,0\n194308,0\n")
+        code, out, _ = run(capsys, "sweep", str(path))
+        assert code == 0
+        assert json.loads(out)["convergence"]["passed"] is True
+
     def test_degenerate_matrix_passes_with_shrinking_tail(self, capsys, table_csv):
         code, out, _ = run(capsys, "sweep", table_csv)
         assert code == 0

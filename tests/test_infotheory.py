@@ -214,6 +214,35 @@ class TestEntropyFromCounts:
             entropy_from_counts([1e306, 1e306])  # sum(w * log2(w)) ~ 2.0e309
         assert entropy_from_counts([1e300, 1e300]) == 1.0
 
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-310, 1e-300, 2.0**-1000])
+    def test_tiny_weights_keep_their_entropy(self, tiny):
+        assert entropy_from_counts([tiny, tiny]) == pytest.approx(1.0, abs=1e-15)
+        assert entropy_from_counts([tiny, tiny], 2 * tiny) == pytest.approx(1.0, abs=1e-15)
+        expected = h_ref([0.25, 0.75])
+        assert entropy_from_counts([tiny, 3 * tiny]) == pytest.approx(expected, abs=1e-15)
+
+    @given(
+        st.lists(st.floats(min_value=1e-3, max_value=1.9), min_size=1, max_size=20),
+        st.sampled_from([1, 7, 100, 1000]),
+    )
+    def test_scaling_down_by_a_power_of_two_keeps_the_bits(self, weights, k):
+        w = np.array([1.5] + weights)  # the largest weight lies in [1, 2)
+        assert entropy_from_counts(np.ldexp(w, -k)) == entropy_from_counts(w)
+
+    @pytest.mark.parametrize(
+        "weights, bits",
+        [
+            ([1, 1, 2], 1.5),
+            ([4, 6], 0.9709505944546684),
+            ([1.0, 0.25], 0.7219280948873623),
+            ([3, 1e-300], 0.0),
+            ([1e300, 3e299], 0.7793498372922159),
+        ],
+    )
+    def test_weights_from_one_up_keep_their_bits(self, weights, bits):
+        # the scaling applies only when every weight is below 1
+        assert entropy_from_counts(weights) == bits
+
     def test_rejects_inconsistent_total(self):
         with pytest.raises(InconsistentTotalError):
             entropy_from_counts([4, 6], 11)

@@ -1,11 +1,13 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import infoagree.oracle
+from decimal_reference import reference_eps_evaluation
 from helpers import (
     agreement_matrices,
     count_grids,
@@ -57,13 +59,18 @@ def sweep_matrices(draw):
     return AgreementMatrix(counts)
 
 
-def _plain_entropies(m, eps):
-    """h_x, h_y and h_xy of the epsilon matrix by the plain expressions on
-    fresh arrays, the reference for the oracle's reused buffers."""
-    cells = m.counts.astype(np.float64)
-    cells[cells == 0.0] = eps
-    p = cells / float(cells.sum())
-    return tuple(float(-(q * np.log2(q)).sum()) for q in (p.sum(axis=0), p.sum(axis=1), p))
+def _assert_matches_reference(m, ev, tol):
+    """ev's value and entropies against the decimal evaluation of the
+    literal epsilon matrix, within ``tol``."""
+    ref = reference_eps_evaluation(m.counts.tolist(), ev.epsilon)
+    for got, want in [
+        (ev.ia_value, ref.value),
+        (ev.h_x, ref.h_x),
+        (ev.h_y, ref.h_y),
+        (ev.h_xy, ref.h_xy),
+    ]:
+        assert abs(got - float(want)) <= tol
+    return ref
 
 
 def _outcome(run):
@@ -116,7 +123,15 @@ class TestEvalIaAt:
         assert abs(fine - target) < abs(coarse - target)
         assert (coarse - target) * (fine - target) > 0  # same side
 
+    @pytest.mark.parametrize("rows", [[[0, 0], [10**4, 0]], [[871842, 0], [194308, 0]]])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-305])
+    def test_epsilons_near_the_float_floor_match_the_reference(self, rows, eps):
+        # at 1e-305 the total over eps overflows, and quotients become log differences
+        m = AgreementMatrix(rows)
+        _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+
     @given(agreement_matrices(), st.sampled_from([1e-2, 1e-5, 1e-9]))
+    @example(AgreementMatrix([[0, 0], [1, 0]]), 1e-9)
     def test_transpose_gives_same_value(self, m, eps):
         a = eval_ia_at(zero_freed(m, eps)).ia_value
         b = eval_ia_at(zero_freed(m.transpose(), eps)).ia_value
@@ -184,8 +199,43 @@ class TestSweep:
         assert _outcome(lambda: sweep(m, grid)) == expected
         assert _outcome(lambda: sweep(m, grid)) == expected  # no state left behind
         if isinstance(expected, list):
-            plain = [_plain_entropies(m, e) for e in grid]
-            assert [(ev.h_x, ev.h_y, ev.h_xy) for ev in expected] == plain
+            for ev in expected:
+                _assert_matches_reference(m, ev, 1e-12)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[871842, 0], [194308, 0]],
+            [[0, 0], [1, 0]],
+            [[2**63, 0], [0, 5]],
+            [[2**64 - 4, 1], [1, 1]],
+            [[1, 0, 0], [10, 0, 0], [10**6, 0, 0]],
+        ],
+    )
+    def test_skewed_and_tiny_entropies_match_the_reference(self, rows):
+        # marginal entropies down to 1e-31 and totals up to 2**64 - 1: each
+        # entropy is accurate relative to its own size, however small
+        m = AgreementMatrix(rows)
+        for ev in sweep(m, (1e-2, 1e-6, 1e-12, 1e-14)):
+            ref = _assert_matches_reference(m, ev, 1e-15)
+            h_lo = float(min(ref.h_x, ref.h_y))
+            assert min(ev.h_x, ev.h_y) == pytest.approx(h_lo, rel=1e-13, abs=0.0)
+
+    def test_memory_is_three_buffers_whatever_the_grid(self):
+        n = 300
+        m = AgreementMatrix(np.random.default_rng(300).integers(0, 10, size=(n, n)))
+        grids = [DEFAULT_EPS_GRID[:1], DEFAULT_EPS_GRID, tuple(np.geomspace(1e-2, 1e-14, 60))]
+        peaks = []
+        for grid in grids:
+            tracemalloc.start()
+            try:
+                sweep(m, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # three n**2 float64 buffers, made once per matrix whatever the grid
+        assert max(peaks) <= 3 * n * n * 8 + n * n + 64 * 1024
+        assert max(peaks) - min(peaks) <= 16 * 1024
 
 
 class TestCheckConvergence:
@@ -214,6 +264,13 @@ class TestCheckConvergence:
         evs = sweep(m, DEFAULT_EPS_GRID)
         report = check_convergence(evs, ia_strict(m), ConvergenceConfig(1e-12, False))
         assert report.within_final_tol
+        assert report.passed
+
+    def test_skewed_single_column_passes(self):
+        # the old definition-form evaluation cancelled to -0.0113 here and raised
+        m = AgreementMatrix([[871842, 0], [194308, 0]])
+        evs = sweep(m, DEFAULT_EPS_GRID)
+        report = check_convergence(evs, ia_epsilon(m).value, default_convergence_config(m))
         assert report.passed
 
     def test_failure_is_reported_not_raised(self):
