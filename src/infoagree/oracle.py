@@ -19,7 +19,9 @@ r' = r + z_y*eps, and in nats
 Every summed term is nonnegative, and S0 - r and r - c are exact integer
 differences (the sums of the other lines' and the other cells' counts), so
 nothing cancels: each entropy is accurate relative to its own size, however
-small. The A_y are the only n**2 work, done once per matrix; each epsilon
+small, down to the smallest normal double. An epsilon so small that the
+smaller marginal entropy falls below that raises InternalInvariantError
+rather than divide by a subnormal's few bits. The A_y are the only n**2 work, done once per matrix; each epsilon
 then costs O(n). Nothing here forms H(X) + H(Y) - H(XY).
 
 Deliberately independent of measure.py: nothing here touches the closed
@@ -37,6 +39,7 @@ observed gap is 0.0963.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,24 +206,20 @@ class _Lines:
     def entropy(self, eps: float, total: float, deep: bool) -> float:
         """S ln 2 times this rater's entropy at eps, where S = ``total``."""
         grown = self.sums + self.zeros * eps
+        ratio = (self.others + self.other_zeros * eps) / grown
+        logs = np.log1p(ratio)
         if deep:  # see _evaluate
-            with np.errstate(over="ignore"):
-                ratio = (self.others + self.other_zeros * eps) / grown
-            logs = np.where(np.isinf(ratio), math.log(total) - np.log(grown), np.log1p(ratio))
-        else:
-            logs = np.log1p((self.others + self.other_zeros * eps) / grown)
+            np.copyto(logs, math.log(total) - np.log(grown), where=np.isinf(ratio))
         return float(np.add.reduce(grown * logs))
 
     def conditional(self, eps: float, deep: bool) -> float:
         """S ln 2 times the entropy of the other rater given this one at eps."""
         filled = self.zeros * eps
         grown = self.sums + filled
+        ratio = grown / eps
+        logs = np.log(ratio)
         if deep:
-            with np.errstate(over="ignore"):
-                ratio = grown / eps
-            logs = np.where(np.isinf(ratio), np.log(grown) - math.log(eps), np.log(ratio))
-        else:
-            logs = np.log(grown / eps)
+            np.copyto(logs, np.log(grown) - math.log(eps), where=np.isinf(ratio))
         terms = self.sums * np.log1p(filled / self.sums_or_one) + filled * logs
         return self.own + float(np.add.reduce(terms))
 
@@ -255,17 +254,26 @@ def _evaluate(
     """The measure at one epsilon, from the matrix's _line_stats."""
     counted, zeros, rows, cols = stats
     total = counted + zeros * epsilon
-    # past the float range, a quotient's logarithm is taken as a difference
+    # Past the float range, a quotient's logarithm is taken as a difference.
+    # Every quotient inside a logarithm is at most total / min(epsilon, 1)
+    # (floating-point sums, products and quotients are monotone), so none
+    # overflows unless total / epsilon does.
     deep = math.isinf(total / epsilon)
     scale = total * _LN2
-    h_x = cols.entropy(epsilon, total, deep) / scale
-    h_y = rows.entropy(epsilon, total, deep) / scale
-    if h_x < h_y:  # H(X|Y) groups the cells by rows
-        h_lo, h_hi, given_hi = h_x, h_y, rows
-    else:
-        h_lo, h_hi, given_hi = h_y, h_x, cols
-    h_lo_given_hi = given_hi.conditional(epsilon, deep) / scale
-    value = 1.0 - h_lo_given_hi / h_lo if h_lo > 0.0 else math.nan
+    with np.errstate(over="ignore"):
+        h_x = cols.entropy(epsilon, total, deep) / scale
+        h_y = rows.entropy(epsilon, total, deep) / scale
+        if h_x < h_y:  # H(X|Y) groups the cells by rows
+            h_lo, h_hi, given_hi = h_x, h_y, rows
+        else:
+            h_lo, h_hi, given_hi = h_y, h_x, cols
+        h_lo_given_hi = given_hi.conditional(epsilon, deep) / scale
+    if not h_lo >= sys.float_info.min:  # a subnormal has lost its bits
+        raise InternalInvariantError(
+            f"smaller marginal entropy {h_lo!r} at epsilon {epsilon!r} "
+            "is below the normal float range"
+        )
+    value = 1.0 - h_lo_given_hi / h_lo
     if not 0.0 <= value <= 1.0:
         if not -CANCELLATION_TOL <= value <= 1.0 + CANCELLATION_TOL:
             raise InternalInvariantError(f"epsilon-matrix agreement {value!r}")

@@ -119,6 +119,15 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["convergence"]["passed"] is True
 
+    def test_subnormal_entropy_exits_2(self, capsys, tmp_path):
+        # at 1e-320 the smaller entropy is subnormal, so no value is reported
+        path = tmp_path / "m.csv"
+        path.write_text("871842,0\n194308,0\n")
+        code, out, err = run(capsys, "sweep", "--eps-to", "1e-320", str(path))
+        assert code == 2
+        assert out == ""
+        assert "below the normal float range" in err
+
     def test_degenerate_matrix_passes_with_shrinking_tail(self, capsys, table_csv):
         code, out, _ = run(capsys, "sweep", table_csv)
         assert code == 0

@@ -14,7 +14,12 @@ from helpers import (
     positive_matrices,
     regular_matrix_with_zeros,
 )
-from infoagree.errors import EmptySweepError, InfoAgreeError, NonPositiveEpsilonError
+from infoagree.errors import (
+    EmptySweepError,
+    InfoAgreeError,
+    InternalInvariantError,
+    NonPositiveEpsilonError,
+)
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import ia_epsilon, ia_strict
 from infoagree.oracle import (
@@ -123,12 +128,29 @@ class TestEvalIaAt:
         assert abs(fine - target) < abs(coarse - target)
         assert (coarse - target) * (fine - target) > 0  # same side
 
-    @pytest.mark.parametrize("rows", [[[0, 0], [10**4, 0]], [[871842, 0], [194308, 0]]])
-    @pytest.mark.parametrize("eps", [1e-300, 1e-305])
+    @pytest.mark.parametrize(
+        "rows, eps",
+        [
+            ([[0, 0], [10**4, 0]], 1e-300),
+            ([[0, 0], [10**4, 0]], 1e-305),
+            ([[871842, 0], [194308, 0]], 1e-300),
+            ([[871842, 0], [194308, 0]], 1e-304),
+        ],
+    )
     def test_epsilons_near_the_float_floor_match_the_reference(self, rows, eps):
-        # at 1e-305 the total over eps overflows, and quotients become log differences
+        # at 1e-305 and 1e-304 the total over eps overflows, and quotients
+        # become log differences
         m = AgreementMatrix(rows)
         _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-305, 1e-320, 5e-324])
+    def test_subnormal_smaller_entropy_raises(self, eps):
+        # H(X) here is 1.9e-308 at 1e-305, and 2e-323 at 1e-320, where it
+        # has too few bits left to divide by
+        m = AgreementMatrix([[871842, 0], [194308, 0]])
+        for run in (lambda: eval_ia_at(zero_freed(m, eps)), lambda: sweep(m, [1e-2, eps])):
+            with pytest.raises(InternalInvariantError, match="below the normal float range"):
+                run()
 
     @given(agreement_matrices(), st.sampled_from([1e-2, 1e-5, 1e-9]))
     @example(AgreementMatrix([[0, 0], [1, 0]]), 1e-9)
