@@ -29,6 +29,7 @@ from infoagree.errors import (
     NonPositiveWeightError,
     NotSquareError,
     ParseError,
+    UnorderedEpsilonError,
     WeightOverflowError,
     ZeroProbabilityError,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "NotSquareError",
     "ParseError",
     "RefinedDistribution",
+    "UnorderedEpsilonError",
     "WeightOverflowError",
     "ZeroProbabilityError",
     "check_convergence",

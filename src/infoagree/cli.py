@@ -22,7 +22,13 @@ from infoagree import __version__
 from infoagree.errors import InfoAgreeError, InternalInvariantError
 from infoagree.formats import build_report, dump_json, error_record, load_document
 from infoagree.measure import ia_epsilon
-from infoagree.oracle import ConvergenceConfig, check_convergence, default_convergence_config, sweep
+from infoagree.oracle import (
+    DEFAULT_EPS_GRID,
+    ConvergenceConfig,
+    check_convergence,
+    default_convergence_config,
+    sweep,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -94,10 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="agreement value plus an epsilon sweep and convergence verdict",
     )
     p_sweep.add_argument("path", help="matrix file (.csv or .json)")
-    p_sweep.add_argument("--eps-from", type=float, default=1e-2, help="largest epsilon (default 1e-2)")
-    p_sweep.add_argument("--eps-to", type=float, default=1e-12, help="smallest epsilon (default 1e-12)")
     p_sweep.add_argument(
-        "--eps-steps", type=int, default=11, help="geometric grid size (default 11)"
+        "--eps-from",
+        type=float,
+        default=DEFAULT_EPS_GRID[0],
+        help="largest epsilon (default %(default)s)",
+    )
+    p_sweep.add_argument(
+        "--eps-to",
+        type=float,
+        default=DEFAULT_EPS_GRID[-1],
+        help="smallest epsilon (default %(default)s)",
+    )
+    p_sweep.add_argument(
+        "--eps-steps",
+        type=int,
+        default=len(DEFAULT_EPS_GRID),
+        help="geometric grid size (default %(default)s)",
     )
     p_sweep.add_argument(
         "--final-tol",

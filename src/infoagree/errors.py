@@ -87,7 +87,13 @@ class ContainsZeroError(InfoAgreeError):
 
 
 class NonPositiveEpsilonError(InfoAgreeError):
-    """Zero replacement values must be strictly positive."""
+    """A zero replacement value is not in the accepted range: it must be
+    finite and at least oracle.EPS_MIN = 2**64 * sys.float_info.min
+    (4.1045368012983762e-289)."""
+
+
+class UnorderedEpsilonError(InfoAgreeError, ValueError):
+    """A sweep's epsilon values are not strictly decreasing."""
 
 
 class EmptySweepError(InfoAgreeError):

@@ -19,10 +19,14 @@ r' = r + z_y*eps, and in nats
 Every summed term is nonnegative, and S0 - r and r - c are exact integer
 differences (the sums of the other lines' and the other cells' counts), so
 nothing cancels: each entropy is accurate relative to its own size, however
-small, down to the smallest normal double. An epsilon so small that the
-smaller marginal entropy falls below that raises InternalInvariantError
-rather than divide by a subnormal's few bits. The A_y are the only n**2 work, done once per matrix; each epsilon
+small. The A_y are the only n**2 work, done once per matrix; each epsilon
 then costs O(n). Nothing here forms H(X) + H(Y) - H(XY).
+
+Epsilon must be finite and at least EPS_MIN = 2**64 times the smallest
+normal double; anything else is a NonPositiveEpsilonError. For a total
+S0 < 2**64, eps / S is then still a normal double, so the smaller marginal
+entropy is too, and no quotient inside a logarithm overflows: each is at
+most S / eps <= 1 / DBL_MIN + n**2.
 
 Deliberately independent of measure.py: nothing here touches the closed
 form, the refined-count entropy identity, or the shared kernels, so a bug
@@ -33,7 +37,9 @@ epsilon * log(1/epsilon)) and logarithmically slow where one does (error
 of order 1/log(1/epsilon)); the default tolerances below reflect the two
 regimes. The degenerate bound of 0.1 was frozen from a worst-case scan of
 single-column matrices with n <= 10 at epsilon = 1e-12, whose largest
-observed gap is 0.0963.
+observed gap is 0.0963. That scan drew no skewed columns:
+[[1, 0, 0], [10, 0, 0], [10**6, 0, 0]] has a gap of 0.178 at 1e-12 and
+fails the default check. A grid that reaches deeper is ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from infoagree.errors import (
     EmptySweepError,
     InternalInvariantError,
     NonPositiveEpsilonError,
+    UnorderedEpsilonError,
 )
 from infoagree.matrix import AgreementMatrix
 
@@ -65,8 +72,12 @@ epsilon = 1e-12; see module docstring for how it was frozen."""
 TAIL_SLACK = 1e-12
 """Slack allowed when testing the gap tail for monotone shrinkage."""
 
-DEFAULT_EPS_GRID = tuple(10.0**-k for k in range(2, 13))
-"""Geometric sweep grid, 1e-2 down to 1e-12."""
+EPS_MIN = 2.0**64 * sys.float_info.min
+"""The smallest epsilon accepted, 4.1045368012983762e-289: for any total
+below 2**64, epsilon / total is still a normal double."""
+
+DEFAULT_EPS_GRID = tuple(np.geomspace(1e-2, 1e-12, 11).tolist())
+"""Geometric sweep grid, 1e-2 down to 1e-12; also the CLI's default."""
 
 CANCELLATION_TOL = 1e-3
 """How far below 0 an evaluation may land before it is treated as a bug
@@ -79,11 +90,14 @@ or a NaN, means something is genuinely wrong."""
 
 @dataclass(frozen=True)
 class EpsilonMatrix:
-    """A matrix's cells with every zero replaced by a concrete epsilon > 0."""
+    """A matrix with every zero to be replaced by a concrete epsilon, which
+    must be finite and at least EPS_MIN."""
 
     base: AgreementMatrix
     epsilon: float
-    cells: np.ndarray  # float64 (n, n), strictly positive, read-only
+
+    def __post_init__(self):
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -121,20 +135,14 @@ class ConvergenceReport:
 
 
 def zero_freed(matrix: AgreementMatrix, eps: float) -> EpsilonMatrix:
-    """Replace every zero cell with ``eps`` (> 0); other cells are untouched."""
-    eps = float(eps)
-    if not (eps > 0.0 and math.isfinite(eps)):  # also rejects NaN
-        raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps!r}")
-    cells = matrix.counts.astype(np.float64)
-    cells[cells == 0.0] = eps
-    cells.setflags(write=False)
-    return EpsilonMatrix(base=matrix, epsilon=eps, cells=cells)
+    """``matrix`` with every zero cell to be replaced by ``eps``."""
+    return EpsilonMatrix(matrix, float(eps))
 
 
 def eval_ia_at(em: EpsilonMatrix) -> EpsilonEvaluation:
     """The measure of the epsilon matrix: ``em.base`` evaluated at
     ``em.epsilon`` by the routine ``sweep`` uses, so the two agree bit for
-    bit (``em.cells`` is not read)."""
+    bit."""
     return _evaluate(_line_stats(em.base.counts), em.epsilon)
 
 
@@ -149,18 +157,27 @@ def sweep(
     eps_list = [float(e) for e in eps_values]
     if not eps_list:
         raise EmptySweepError("no epsilon values to sweep")
+    # every point positive first, so [inf, 0.0] reports the 0.0
     for e in eps_list:
         if not e > 0.0:
-            raise NonPositiveEpsilonError(f"epsilon must be positive, got {e!r}")
+            _check_epsilon(e)
     for prev, cur in zip(eps_list, eps_list[1:]):
         if cur >= prev:
-            raise ValueError("epsilon values must be strictly decreasing")
-    # zero_freed's rejection of inf, made once: after the ordering check only
-    # the first point can be inf, and [1.0, inf] stays an ordering error
-    if not math.isfinite(eps_list[0]):
-        raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps_list[0]!r}")
+            raise UnorderedEpsilonError("epsilon values must be strictly decreasing")
+    # after the ordering check only the first point can be inf, and only the
+    # last can be below EPS_MIN; [1.0, inf] stays an ordering error
+    _check_epsilon(eps_list[0])
+    _check_epsilon(eps_list[-1])
     stats = _line_stats(matrix.counts)
     return [_evaluate(stats, e) for e in eps_list]
+
+
+def _check_epsilon(eps: float) -> None:
+    """Reject an epsilon that is not finite or is below EPS_MIN."""
+    if not (eps > 0.0 and math.isfinite(eps)):  # also rejects NaN
+        raise NonPositiveEpsilonError(f"epsilon must be positive, got {eps!r}")
+    if eps < EPS_MIN:
+        raise NonPositiveEpsilonError(f"epsilon must be at least {EPS_MIN!r}, got {eps!r}")
 
 
 class _Lines:
@@ -203,24 +220,17 @@ class _Lines:
         self.zeros = zeros
         self.other_zeros = float(zeros.sum()) - zeros
 
-    def entropy(self, eps: float, total: float, deep: bool) -> float:
-        """S ln 2 times this rater's entropy at eps, where S = ``total``."""
+    def entropy(self, eps: float) -> float:
+        """S ln 2 times this rater's entropy at eps."""
         grown = self.sums + self.zeros * eps
-        ratio = (self.others + self.other_zeros * eps) / grown
-        logs = np.log1p(ratio)
-        if deep:  # see _evaluate
-            np.copyto(logs, math.log(total) - np.log(grown), where=np.isinf(ratio))
+        logs = np.log1p((self.others + self.other_zeros * eps) / grown)
         return float(np.add.reduce(grown * logs))
 
-    def conditional(self, eps: float, deep: bool) -> float:
+    def conditional(self, eps: float) -> float:
         """S ln 2 times the entropy of the other rater given this one at eps."""
         filled = self.zeros * eps
         grown = self.sums + filled
-        ratio = grown / eps
-        logs = np.log(ratio)
-        if deep:
-            np.copyto(logs, np.log(grown) - math.log(eps), where=np.isinf(ratio))
-        terms = self.sums * np.log1p(filled / self.sums_or_one) + filled * logs
+        terms = self.sums * np.log1p(filled / self.sums_or_one) + filled * np.log(grown / eps)
         return self.own + float(np.add.reduce(terms))
 
 
@@ -253,22 +263,16 @@ def _evaluate(
 ) -> EpsilonEvaluation:
     """The measure at one epsilon, from the matrix's _line_stats."""
     counted, zeros, rows, cols = stats
-    total = counted + zeros * epsilon
-    # Past the float range, a quotient's logarithm is taken as a difference.
-    # Every quotient inside a logarithm is at most total / min(epsilon, 1)
-    # (floating-point sums, products and quotients are monotone), so none
-    # overflows unless total / epsilon does.
-    deep = math.isinf(total / epsilon)
-    scale = total * _LN2
-    with np.errstate(over="ignore"):
-        h_x = cols.entropy(epsilon, total, deep) / scale
-        h_y = rows.entropy(epsilon, total, deep) / scale
-        if h_x < h_y:  # H(X|Y) groups the cells by rows
-            h_lo, h_hi, given_hi = h_x, h_y, rows
-        else:
-            h_lo, h_hi, given_hi = h_y, h_x, cols
-        h_lo_given_hi = given_hi.conditional(epsilon, deep) / scale
-    if not h_lo >= sys.float_info.min:  # a subnormal has lost its bits
+    scale = (counted + zeros * epsilon) * _LN2
+    h_x = cols.entropy(epsilon) / scale
+    h_y = rows.entropy(epsilon) / scale
+    if h_x < h_y:  # H(X|Y) groups the cells by rows
+        h_lo, h_hi, given_hi = h_x, h_y, rows
+    else:
+        h_lo, h_hi, given_hi = h_y, h_x, cols
+    h_lo_given_hi = given_hi.conditional(epsilon) / scale
+    # EPS_MIN keeps h_lo normal; a subnormal one would have lost its bits
+    if not h_lo >= sys.float_info.min:
         raise InternalInvariantError(
             f"smaller marginal entropy {h_lo!r} at epsilon {epsilon!r} "
             "is below the normal float range"

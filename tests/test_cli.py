@@ -6,6 +6,7 @@ import pytest
 import infoagree.cli
 from infoagree.cli import main
 from infoagree.errors import InternalInvariantError
+from infoagree.oracle import DEFAULT_EPS_GRID
 
 
 @pytest.fixture
@@ -119,14 +120,19 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["convergence"]["passed"] is True
 
-    def test_subnormal_entropy_exits_2(self, capsys, tmp_path):
-        # at 1e-320 the smaller entropy is subnormal, so no value is reported
+    @pytest.mark.parametrize("eps_to", ["1e-300", "1e-320"])
+    def test_eps_below_the_floor_exits_1(self, capsys, tmp_path, eps_to):
         path = tmp_path / "m.csv"
         path.write_text("871842,0\n194308,0\n")
-        code, out, err = run(capsys, "sweep", "--eps-to", "1e-320", str(path))
-        assert code == 2
+        code, out, err = run(capsys, "sweep", "--eps-to", eps_to, str(path))
+        assert code == 1
         assert out == ""
-        assert "below the normal float range" in err
+        assert "at least" in err
+
+    def test_default_grid_is_the_oracles(self):
+        args = infoagree.cli._build_parser().parse_args(["sweep", "m.csv"])
+        grid = infoagree.cli._epsilon_grid(args.eps_from, args.eps_to, args.eps_steps)
+        assert [x.hex() for x in grid.tolist()] == [x.hex() for x in DEFAULT_EPS_GRID]
 
     def test_degenerate_matrix_passes_with_shrinking_tail(self, capsys, table_csv):
         code, out, _ = run(capsys, "sweep", table_csv)

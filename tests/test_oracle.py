@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import tracemalloc
 
@@ -17,14 +18,16 @@ from helpers import (
 from infoagree.errors import (
     EmptySweepError,
     InfoAgreeError,
-    InternalInvariantError,
     NonPositiveEpsilonError,
+    UnorderedEpsilonError,
 )
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import ia_epsilon, ia_strict
 from infoagree.oracle import (
     DEFAULT_EPS_GRID,
+    EPS_MIN,
     ConvergenceConfig,
+    EpsilonMatrix,
     check_convergence,
     default_convergence_config,
     eval_ia_at,
@@ -37,6 +40,7 @@ TABLE_SHAPED = AgreementMatrix([[4, 0, 0], [6, 0, 0], [0, 0, 0]])
 INF = float("inf")
 NAN = float("nan")
 SWEEP_GRIDS = [DEFAULT_EPS_GRID, (1e-3,), tuple(np.geomspace(1e-1, 1e-14, 17))]
+BELOW_THE_FLOOR = [float(np.nextafter(EPS_MIN, 0.0)), 1e-300, 1e-320, 5e-324]
 
 
 @st.composite
@@ -64,6 +68,21 @@ def sweep_matrices(draw):
     return AgreementMatrix(counts)
 
 
+@st.composite
+def large_total_matrices(draw):
+    """Matrices whose total reaches up to 2**64 - 1: cells up to 2**64 / n**2,
+    and sometimes one of them grown until the total is exactly 2**64 - 1."""
+    n = draw(st.integers(2, 6))
+    top = (2**64 - 1) // (n * n)
+    cells = draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n))
+    at = draw(st.integers(0, n * n - 1))
+    if draw(st.booleans()):
+        cells[at] += 2**64 - 1 - sum(cells)
+    elif not any(cells):
+        cells[at] = 1
+    return AgreementMatrix(np.array(cells, dtype=np.uint64).reshape(n, n))
+
+
 def _assert_matches_reference(m, ev, tol):
     """ev's value and entropies against the decimal evaluation of the
     literal epsilon matrix, within ``tol``."""
@@ -87,26 +106,37 @@ def _outcome(run):
 
 
 class TestZeroFreed:
-    def test_replaces_zeros_only(self):
-        em = zero_freed(AgreementMatrix([[5, 0], [0, 5]]), 0.01)
-        assert em.cells.tolist() == [[5.0, 0.01], [0.01, 5.0]]
-        assert em.epsilon == 0.01
+    def test_holds_the_matrix_and_a_float_epsilon(self):
+        m = AgreementMatrix([[5, 0], [0, 5]])
+        em = zero_freed(m, np.float32(0.5))
+        assert em == EpsilonMatrix(m, 0.5)
+        assert em.base is m
+        assert type(em.epsilon) is float
 
-    def test_positive_matrix_unchanged(self):
-        m = AgreementMatrix([[1, 2], [3, 4]])
-        em = zero_freed(m, 0.5)
-        assert em.cells.tolist() == m.counts.tolist()
+    def test_makes_no_copy_of_the_cells(self):
+        assert [f.name for f in dataclasses.fields(EpsilonMatrix)] == ["base", "epsilon"]
 
-    def test_table_pattern(self):
-        em = zero_freed(TABLE_SHAPED, 1e-3)
-        expected = np.where(TABLE_SHAPED.counts > 0, TABLE_SHAPED.counts, 1e-3)
-        assert np.array_equal(em.cells, expected)
-        assert (em.cells > 0).all()
-
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, NAN, INF])
     def test_rejects_non_positive_epsilon(self, eps):
-        with pytest.raises(NonPositiveEpsilonError):
+        with pytest.raises(NonPositiveEpsilonError, match="must be positive"):
             zero_freed(TABLE_SHAPED, eps)
+
+    @pytest.mark.parametrize("eps", BELOW_THE_FLOOR)
+    def test_rejects_epsilon_below_the_floor(self, eps):
+        message = f"epsilon must be at least 4.1045368012983762e-289, got {eps!r}"
+        for run in (
+            lambda: zero_freed(TABLE_SHAPED, eps),
+            lambda: EpsilonMatrix(TABLE_SHAPED, eps),
+            lambda: sweep(TABLE_SHAPED, [1e-2, eps]),
+        ):
+            with pytest.raises(NonPositiveEpsilonError) as exc:
+                run()
+            assert str(exc.value) == message
+
+    def test_floor_is_2_64_times_the_smallest_normal(self):
+        assert EPS_MIN == 2.0**64 * np.finfo(np.float64).smallest_normal
+        assert repr(EPS_MIN) == "4.1045368012983762e-289"
+        assert zero_freed(TABLE_SHAPED, EPS_MIN).epsilon == EPS_MIN
 
 
 class TestEvalIaAt:
@@ -128,29 +158,20 @@ class TestEvalIaAt:
         assert abs(fine - target) < abs(coarse - target)
         assert (coarse - target) * (fine - target) > 0  # same side
 
+    @pytest.mark.parametrize("eps", [EPS_MIN, 2 * EPS_MIN], ids=["EPS_MIN", "2*EPS_MIN"])
     @pytest.mark.parametrize(
-        "rows, eps",
+        "rows",
         [
-            ([[0, 0], [10**4, 0]], 1e-300),
-            ([[0, 0], [10**4, 0]], 1e-305),
-            ([[871842, 0], [194308, 0]], 1e-300),
-            ([[871842, 0], [194308, 0]], 1e-304),
+            [[0, 0], [10**4, 0]],
+            [[871842, 0], [194308, 0]],
+            [[2**64 - 2, 0], [0, 1]],
+            [[2**64 - 1, 0], [0, 0]],
         ],
     )
-    def test_epsilons_near_the_float_floor_match_the_reference(self, rows, eps):
-        # at 1e-305 and 1e-304 the total over eps overflows, and quotients
-        # become log differences
+    def test_epsilons_at_the_float_floor_match_the_reference(self, rows, eps):
+        # the smaller marginal entropy is down to about 1e-291 here
         m = AgreementMatrix(rows)
         _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
-
-    @pytest.mark.parametrize("eps", [1e-305, 1e-320, 5e-324])
-    def test_subnormal_smaller_entropy_raises(self, eps):
-        # H(X) here is 1.9e-308 at 1e-305, and 2e-323 at 1e-320, where it
-        # has too few bits left to divide by
-        m = AgreementMatrix([[871842, 0], [194308, 0]])
-        for run in (lambda: eval_ia_at(zero_freed(m, eps)), lambda: sweep(m, [1e-2, eps])):
-            with pytest.raises(InternalInvariantError, match="below the normal float range"):
-                run()
 
     @given(agreement_matrices(), st.sampled_from([1e-2, 1e-5, 1e-9]))
     @example(AgreementMatrix([[0, 0], [1, 0]]), 1e-9)
@@ -187,8 +208,9 @@ class TestSweep:
             sweep(TABLE_SHAPED, [1e-2, 0.0])
         with pytest.raises(ValueError):
             sweep(TABLE_SHAPED, [1e-4, 1e-2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             sweep(TABLE_SHAPED, [1e-2, 1e-2])
+        assert isinstance(exc.value, InfoAgreeError)
 
     @pytest.mark.parametrize(
         "m", [TABLE_SHAPED, AgreementMatrix([[2, 1], [1, 2]])], ids=["zeros", "positive"]
@@ -203,10 +225,17 @@ class TestSweep:
             ([INF], NonPositiveEpsilonError, "epsilon must be positive, got inf"),
             ([INF, 0.0], NonPositiveEpsilonError, "epsilon must be positive, got 0.0"),
             ([INF, 1e-3], NonPositiveEpsilonError, "epsilon must be positive, got inf"),
-            ([1.0, INF], ValueError, "epsilon values must be strictly decreasing"),
-            ([INF, INF], ValueError, "epsilon values must be strictly decreasing"),
-            ([1e-2, 1e-2], ValueError, "epsilon values must be strictly decreasing"),
-            ([1e-4, 1e-2], ValueError, "epsilon values must be strictly decreasing"),
+            ([1.0, INF], UnorderedEpsilonError, "epsilon values must be strictly decreasing"),
+            ([INF, INF], UnorderedEpsilonError, "epsilon values must be strictly decreasing"),
+            ([1e-2, 1e-2], UnorderedEpsilonError, "epsilon values must be strictly decreasing"),
+            ([1e-4, 1e-2], UnorderedEpsilonError, "epsilon values must be strictly decreasing"),
+            ([1e-300, 1e-2], UnorderedEpsilonError, "epsilon values must be strictly decreasing"),
+            ([INF, 1e-300], NonPositiveEpsilonError, "epsilon must be positive, got inf"),
+            (
+                [1e-2, 1e-300],
+                NonPositiveEpsilonError,
+                "epsilon must be at least 4.1045368012983762e-289, got 1e-300",
+            ),
         ],
     )
     def test_bad_grid_error_class_and_message(self, m, grid, error, message):
@@ -242,6 +271,13 @@ class TestSweep:
             ref = _assert_matches_reference(m, ev, 1e-15)
             h_lo = float(min(ref.h_x, ref.h_y))
             assert min(ev.h_x, ev.h_y) == pytest.approx(h_lo, rel=1e-13, abs=0.0)
+
+    @given(large_total_matrices())
+    def test_no_floating_point_errors_down_to_the_floor(self, m):
+        # no quotient overflows and no logarithm sees 0 or a NaN; underflow is allowed
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            evs = sweep(m, [1e-2, EPS_MIN])
+        assert all(0.0 <= ev.ia_value <= 1.0 for ev in evs)
 
     def test_memory_is_three_buffers_whatever_the_grid(self):
         n = 300
