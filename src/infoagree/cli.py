@@ -24,6 +24,7 @@ from infoagree.formats import build_report, dump_json, error_record, load_docume
 from infoagree.measure import ia_epsilon
 from infoagree.oracle import (
     DEFAULT_EPS_GRID,
+    EPS_MIN,
     ConvergenceConfig,
     check_convergence,
     default_convergence_config,
@@ -116,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--eps-steps",
         type=int,
         default=len(DEFAULT_EPS_GRID),
-        help="geometric grid size (default %(default)s)",
+        help="geometric grid size (default %(default)s); with 1 the grid is "
+        "--eps-from alone and --eps-to is not used",
     )
     p_sweep.add_argument(
         "--final-tol",
@@ -221,6 +223,9 @@ def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
     for flag, value in (("--eps-from", eps_from), ("--eps-to", eps_to)):
         if not math.isfinite(value):
             raise InfoAgreeError(f"{flag} must be finite, got {value!r}")
+        # the oracle's floor, checked here so that no file is read for a bad grid
+        if value < EPS_MIN:
+            raise InfoAgreeError(f"{flag} must be at least {EPS_MIN!r}, got {value!r}")
     if steps < 1:
         raise InfoAgreeError("--eps-steps must be at least 1")
     if steps == 1:

@@ -91,7 +91,8 @@ class AgreementMatrix:
         return int(np.count_nonzero(self.col_sums()))
 
     def has_zero_cell(self) -> bool:
-        return bool((self.counts == 0).any())
+        # a reduction, not counts == 0: no n**2 mask
+        return bool(_min(self.counts, axis=None) == 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AgreementMatrix):

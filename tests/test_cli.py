@@ -129,6 +129,21 @@ class TestSweep:
         assert out == ""
         assert "at least" in err
 
+    @pytest.mark.parametrize("steps", ["1", "11"])
+    @pytest.mark.parametrize("flag", ["--eps-from", "--eps-to"])
+    def test_eps_below_the_floor_fails_before_the_file_is_read(
+        self, capsys, tmp_path, flag, steps
+    ):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(capsys, "sweep", flag, "1e-300", "--eps-steps", steps, missing)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} must be at least 4.1045368012983762e-289, got 1e-300\n"
+
+    def test_one_step_grid_is_eps_from_alone(self):
+        grid = infoagree.cli._epsilon_grid(1e-3, 1.0, 1)
+        assert grid.tolist() == [1e-3]
+
     def test_default_grid_is_the_oracles(self):
         args = infoagree.cli._build_parser().parse_args(["sweep", "m.csv"])
         grid = infoagree.cli._epsilon_grid(args.eps_from, args.eps_to, args.eps_steps)

@@ -199,6 +199,29 @@ class TestSumsAndCounts:
         assert AgreementMatrix([[5, 0], [0, 5]]).has_zero_cell()
         assert not AgreementMatrix([[1, 2], [3, 4]]).has_zero_cell()
 
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_has_zero_cell_on_any_layout(self, zero):
+        cells = np.arange(1, 37, dtype=np.uint64).reshape(6, 6)
+        cells[1, 2] = U64_MAX - 1000
+        if zero:
+            cells[4, 4] = 0
+        layouts = [
+            cells,
+            np.asfortranarray(cells),
+            cells.T,
+            cells[::2, ::2],
+            cells[1::2, ::-2],
+        ]
+        for arr in layouts:
+            expected = bool((arr == 0).any())
+            assert AgreementMatrix(arr).has_zero_cell() is expected
+            # _from_owned keeps a uint64 array's layout as it is
+            assert AgreementMatrix._from_owned(arr).has_zero_cell() is expected
+
+    def test_has_zero_cell_with_the_largest_cell(self):
+        assert not AgreementMatrix([[U64_MAX - 3, 1], [1, 1]]).has_zero_cell()
+        assert AgreementMatrix([[U64_MAX, 0], [0, 0]]).has_zero_cell()
+
 
 class TestTranspose:
     def test_example(self):

@@ -83,6 +83,50 @@ def large_total_matrices(draw):
     return AgreementMatrix(np.array(cells, dtype=np.uint64).reshape(n, n))
 
 
+@st.composite
+def small_top_matrices(draw, min_n, max_n, share):
+    """Matrices whose largest cell is below n / share: random, sparse, or a
+    single non-null column or row, with the counts held in C or Fortran
+    order, strided, or transposed."""
+    n = draw(st.integers(min_n, max_n))
+    top = draw(st.integers(1, n // share - 1))
+    kind = draw(st.sampled_from(["any", "sparse", "column", "row"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, top + 1, size=(n, n), dtype=np.uint64)
+    if kind == "sparse":
+        counts[rng.random((n, n)) < 0.7] = 0
+    elif kind != "any":
+        line = rng.integers(1, top + 1, size=n, dtype=np.uint64)
+        counts[:] = 0
+        at = draw(st.integers(0, n - 1))
+        if kind == "column":
+            counts[:, at] = line
+        else:
+            counts[at] = line
+    if not counts.any():
+        counts[0, 0] = 1
+    layout = draw(st.sampled_from(["C", "F", "strided", "transposed"]))
+    if layout == "F":
+        return AgreementMatrix(np.asfortranarray(counts))
+    if layout == "strided":
+        wide = np.zeros((n, 2 * n), dtype=np.uint64)
+        wide[:, ::2] = counts
+        return AgreementMatrix._from_owned(wide[:, ::2])
+    if layout == "transposed":
+        return AgreementMatrix._from_owned(counts.T)
+    return AgreementMatrix(counts)
+
+
+def _peak_bytes(run):
+    """The tracemalloc peak while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _assert_matches_reference(m, ev, tol):
     """ev's value and entropies against the decimal evaluation of the
     literal epsilon matrix, within ``tol``."""
@@ -172,6 +216,50 @@ class TestEvalIaAt:
         # the smaller marginal entropy is down to about 1e-291 here
         m = AgreementMatrix(rows)
         _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+
+    @given(small_top_matrices(8, 16, share=4), st.sampled_from([1e-2, 1e-9, EPS_MIN]))
+    def test_histogram_route_matches_the_reference(self, m, eps):
+        assert 4 * (m.max_cell + 1) <= m.n  # the histogram route's rule
+        _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+
+    @pytest.mark.parametrize(
+        "top, route",
+        [
+            (1, "_lines_from_histograms"),
+            (2, "_lines_per_cell"),
+            (7, "_lines_per_cell"),
+            (8, "_lines_per_cell"),
+        ],
+    )
+    def test_route_on_each_side_of_the_rule(self, monkeypatch, top, route):
+        # n = 8: top = 1 is the largest cell with 4 * (top + 1) <= n
+        rows = [[(3 * y + 5 * x) % (top + 1) for x in range(8)] for y in range(8)]
+        rows[0] = [0] * 8
+        m = AgreementMatrix(rows)
+        taken = []
+        for name in ("_lines_from_histograms", "_lines_per_cell"):
+            real = getattr(infoagree.oracle, name)
+            monkeypatch.setattr(
+                infoagree.oracle,
+                name,
+                lambda *args, name=name, real=real: taken.append(name) or real(*args),
+            )
+        for eps in (1e-2, 1e-9, EPS_MIN):
+            _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+        assert taken == [route] * 3
+
+    @given(st.one_of(small_top_matrices(2, 12, share=1), small_top_matrices(8, 40, share=4)))
+    # several row blocks, the last one short: 300 = 2 * 109 + 82 and 200 = 163 + 37
+    @example(AgreementMatrix(np.random.default_rng(300).integers(0, 10, size=(300, 300))))
+    @example(AgreementMatrix(np.random.default_rng(200).integers(0, 50, size=(200, 200)).T))
+    def test_the_routes_agree(self, m):
+        total = np.uint64(m.total)
+        by_cells = infoagree.oracle._lines_per_cell(m.counts, total)
+        by_hists = infoagree.oracle._lines_from_histograms(m.counts, m.max_cell, total)
+        for by_cell, by_hist in zip(by_cells, by_hists):
+            for name in ("sums", "sums_or_one", "others", "zeros", "other_zeros"):
+                assert np.array_equal(getattr(by_hist, name), getattr(by_cell, name)), name
+            assert by_hist.own == pytest.approx(by_cell.own, rel=1e-15, abs=0.0)
 
     @given(agreement_matrices(), st.sampled_from([1e-2, 1e-5, 1e-9]))
     @example(AgreementMatrix([[0, 0], [1, 0]]), 1e-9)
@@ -273,6 +361,7 @@ class TestSweep:
             assert min(ev.h_x, ev.h_y) == pytest.approx(h_lo, rel=1e-13, abs=0.0)
 
     @given(large_total_matrices())
+    @example(AgreementMatrix([[0] * 8] + [[0] + [(y + x) % 2 for x in range(7)] for y in range(7)]))
     def test_no_floating_point_errors_down_to_the_floor(self, m):
         # no quotient overflows and no logarithm sees 0 or a NaN; underflow is allowed
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -294,6 +383,22 @@ class TestSweep:
         # three n**2 float64 buffers, made once per matrix whatever the grid
         assert max(peaks) <= 3 * n * n * 8 + n * n + 64 * 1024
         assert max(peaks) - min(peaks) <= 16 * 1024
+
+    def test_per_cell_route_memory_is_three_buffers_whatever_the_grid(self):
+        n = 300
+        m = AgreementMatrix(np.random.default_rng(301).integers(0, 10**6, size=(n, n)))
+        assert 4 * (m.max_cell + 1) > n
+        grids = [DEFAULT_EPS_GRID[:1], DEFAULT_EPS_GRID, tuple(np.geomspace(1e-2, 1e-14, 60))]
+        peaks = [_peak_bytes(lambda: sweep(m, grid)) for grid in grids]
+        assert max(peaks) <= 3 * n * n * 8 + n * n + 64 * 1024
+        assert max(peaks) - min(peaks) <= 16 * 1024
+
+    def test_histogram_route_makes_no_temporary_of_the_matrix_shape(self):
+        n = 800
+        m = AgreementMatrix(np.random.default_rng(800).integers(0, 10, size=(n, n)))
+        tables = 2 * n * (m.max_cell + 1) * 8
+        block = infoagree.oracle._BLOCK_CELLS * 8
+        assert _peak_bytes(lambda: sweep(m, DEFAULT_EPS_GRID)) < block + tables + 64 * 1024
 
 
 class TestCheckConvergence:
