@@ -36,6 +36,10 @@ joint distribution; exceeds accumulated rounding for supports up to ~10^8."""
 TOTAL_TOL = 1e-12
 """Absolute tolerance between a stated weight total and the exact sum."""
 
+_BLOCK_CELLS = 2**15
+"""About how many cells of a joint distribution the mutual information
+sum takes at a time: 256 KiB of float64 scratch."""
+
 
 @dataclass(frozen=True)
 class CategoricalDistribution:
@@ -111,7 +115,7 @@ def shannon_entropy(dist: CategoricalDistribution) -> float:
     """H = -sum(p * log2(p)) in bits: in [0, log2(dist.support_size())], and
     zero exactly when the support is a single cell. Raises
     ZeroProbabilityError if an unrefined distribution holds a zero."""
-    _sum_cells(dist)
+    _is_refined(dist)  # raises on an unrefined zero
     return _finalize_entropy(-_kernels.xlog2_sum(dist.probs.ravel()))  # skips zeros
 
 
@@ -231,28 +235,46 @@ def _checked_marginal(joint_dist, axis: int, dist, name: str) -> np.ndarray:
     return q
 
 
-def _sum_cells(dist: CategoricalDistribution) -> np.ndarray | bool:
-    """The cells a sum over ``dist`` runs over, as a ufunc ``where``: a refined one's
-    support, else all (True). Raises ZeroProbabilityError on an unrefined zero."""
+def _is_refined(dist: CategoricalDistribution) -> bool:
+    """Whether sums over ``dist`` skip its zero cells, as a refined one's do.
+    Raises ZeroProbabilityError on an unrefined zero."""
     if isinstance(dist, RefinedDistribution):
-        return dist.support
+        return True
     if dist.probs.min() == 0.0:
         raise ZeroProbabilityError("distribution contains zero probabilities; refine() it first")
-    return True
+    return False
 
 
 def _xlog2_ratio_sum(dist, a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the 2-d ``dist``'s cells,
-    in one scratch buffer. A masked cell has p = 0 and a ratio of 1, so one sum
-    over the whole array adds nothing for it. NumPy's pairwise sum, unlike a
-    BLAS dot product, gives the same bits for any thread count."""
-    p, cells = dist.probs, _sum_cells(dist)
-    ratio = np.empty_like(p) if cells is True else np.ones_like(p)
-    np.divide(p, a[:, None], out=ratio, where=cells)
-    np.divide(ratio, b, out=ratio, where=cells)
-    np.log2(ratio, out=ratio, where=cells)
-    np.multiply(p, ratio, out=ratio)
-    return float(ratio.sum())
+    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the 2-d ``dist``'s cells.
+
+    The rows are taken in blocks of about _BLOCK_CELLS cells, each worked in
+    one reused scratch buffer and summed on its own, and the blocks' sums
+    are added in row order; a refined distribution's support is masked a
+    block at a time in one reused mask. So no temporary has the
+    distribution's shape. A masked cell has p = 0 and a ratio of 1, so a
+    block's sum adds nothing for it. NumPy's pairwise sum, unlike a BLAS
+    dot product, gives the same bits for any thread count.
+    """
+    p, refined = dist.probs, _is_refined(dist)
+    rows, cols = p.shape
+    step = max(1, _BLOCK_CELLS // cols)
+    scratch = np.empty((min(step, rows), cols))
+    support = np.empty(scratch.shape, dtype=bool) if refined else None
+    total = 0.0
+    for start in range(0, rows, step):
+        block = p[start : start + step]
+        ratio = scratch[: len(block)]
+        cells = True
+        if refined:
+            cells = np.greater(block, 0.0, out=support[: len(block)])
+            ratio.fill(1.0)
+        np.divide(block, a[start : start + step, None], out=ratio, where=cells)
+        np.divide(ratio, b, out=ratio, where=cells)
+        np.log2(ratio, out=ratio, where=cells)
+        np.multiply(block, ratio, out=ratio)
+        total += float(np.add.reduce(ratio, axis=None))
+    return total
 
 
 def _finalize_entropy(h: float, slack: float = TOTAL_TOL) -> float:

@@ -37,13 +37,18 @@ class AgreementMatrix:
     """Immutable n-by-n matrix of nonnegative integer classification counts.
 
     Attributes:
-        counts: read-only (n, n) uint64 array, counts[y][x] as described above.
+        counts: read-only, C-contiguous (n, n) uint64 array, counts[y][x] as
+            described above.
         n: number of classes (n >= 2).
         total: exact sum of all cells, cached at construction (> 0).
         max_cell: the largest cell, cached at construction (> 0).
+        positive_cells: the number of positive cells, cached at construction.
+
+    The row and column sums are computed once at construction too, and
+    row_sums() and col_sums() return them read-only.
     """
 
-    __slots__ = ("counts", "n", "total", "max_cell")
+    __slots__ = ("counts", "n", "total", "max_cell", "positive_cells", "_row_sums", "_col_sums")
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray):
         self._adopt(_coerce_counts(rows))
@@ -61,22 +66,35 @@ class AgreementMatrix:
         if n < 2:
             raise DimensionTooSmallError(f"need at least 2 classes, got {n}")
         max_cell = int(_max(arr, axis=None))
-        total = _exact_total(arr, max_cell)
+        # a line sum is a partial sum of the total, so it is exact whenever
+        # the total fits in 64 bits, and _exact_total raises when it does not
+        row_sums = _sum(arr, axis=1)
+        col_sums = _sum(arr, axis=0)
+        if max_cell <= U64_MAX // arr.size:
+            total = int(_sum(row_sums))
+        else:
+            total = _exact_total(arr)
         if total == 0:
             raise AllZeroError("agreement matrix must contain at least one positive cell")
-        arr.setflags(write=False)
+        for kept in (arr, row_sums, col_sums):
+            kept.setflags(write=False)
         self.counts = arr
         self.n = n
         self.total = total
         self.max_cell = max_cell
+        self.positive_cells = int(np.count_nonzero(arr))
+        self._row_sums = row_sums
+        self._col_sums = col_sums
 
     def row_sums(self) -> np.ndarray:
-        """Per-row cell sums (rater Y's class totals), length n, summing to total."""
-        return _sum(self.counts, axis=1)
+        """Per-row cell sums (rater Y's class totals), length n, summing to
+        total: a read-only uint64 array kept from construction."""
+        return self._row_sums
 
     def col_sums(self) -> np.ndarray:
-        """Per-column cell sums (rater X's class totals), length n, summing to total."""
-        return _sum(self.counts, axis=0)
+        """Per-column cell sums (rater X's class totals), length n, summing to
+        total: a read-only uint64 array kept from construction."""
+        return self._col_sums
 
     def transpose(self) -> "AgreementMatrix":
         """The matrix with the raters' roles swapped: result[x][y] = counts[y][x]."""
@@ -91,8 +109,7 @@ class AgreementMatrix:
         return int(np.count_nonzero(self.col_sums()))
 
     def has_zero_cell(self) -> bool:
-        # a reduction, not counts == 0: no n**2 mask
-        return bool(_min(self.counts, axis=None) == 0)
+        return self.positive_cells < self.counts.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AgreementMatrix):
@@ -116,7 +133,7 @@ def _coerce_counts(rows) -> np.ndarray:
 
 def _coerce_ndarray(arr: np.ndarray, copy: bool = True) -> np.ndarray:
     """The checks of _coerce_counts on an array; with ``copy`` false, a
-    uint64 array is returned as it is rather than copied."""
+    C-contiguous uint64 array is returned as it is rather than copied."""
     if arr.ndim != 2:
         raise NotSquareError(f"expected a 2-d array, got {arr.ndim}-d")
     if arr.shape[0] != arr.shape[1]:
@@ -127,7 +144,9 @@ def _coerce_ndarray(arr: np.ndarray, copy: bool = True) -> np.ndarray:
     if arr.dtype.kind == "i" and arr.size and _min(arr, axis=None) < 0:
         y, x = np.argwhere(arr < 0)[0]
         raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
-    return arr.astype(np.uint64, copy=copy)
+    # C order whatever the input's: a Fortran or strided copy would make every
+    # later ravel() of the counts copy them again
+    return arr.astype(np.uint64, order="C", copy=copy)
 
 
 def _coerce_sequences(rows) -> np.ndarray:
@@ -152,16 +171,13 @@ def _coerce_sequences(rows) -> np.ndarray:
     return np.array(row_list, dtype=np.uint64)
 
 
-def _exact_total(arr: np.ndarray, max_cell: int) -> int:
-    """Exact grand total of a uint64 array whose largest cell is ``max_cell``,
-    with an overflow check on the 64-bit budget.
+def _exact_total(arr: np.ndarray) -> int:
+    """Exact grand total of a uint64 array whose size * max may not fit in 64
+    bits, with an overflow check on the 64-bit budget.
 
-    When size * max fits in 64 bits, no partial sum can wrap, so one uint64
-    sum is exact. Otherwise the high and low 32-bit halves of the cells are
-    summed apart; each of those sums is exact for up to 2**32 cells.
+    The high and low 32-bit halves of the cells are summed apart; each of
+    those sums is exact for up to 2**32 cells.
     """
-    if max_cell <= U64_MAX // arr.size:
-        return int(_sum(arr, axis=None, dtype=np.uint64))
     high = int(_sum(arr >> 32, axis=None, dtype=np.uint64))
     low = int(_sum(arr & 0xFFFFFFFF, axis=None, dtype=np.uint64))
     exact = (high << 32) + low

@@ -100,9 +100,7 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
 
     h_x = infotheory._count_entropy(col_sums, l, total)
     h_y = infotheory._count_entropy(row_sums, m, total)
-    h_xy = infotheory._count_entropy(
-        cells, int(np.count_nonzero(cells)), total, matrix.max_cell
-    )
+    h_xy = infotheory._count_entropy(cells, matrix.positive_cells, total, matrix.max_cell)
 
     if l == 1:
         value = (n - m) / n

@@ -158,6 +158,45 @@ class TestRefine:
         assert (r.support == (m.counts > 0)).all()
 
 
+class TestRowBlocks:
+    """Sums over a 2-d distribution take its rows a block at a time."""
+
+    @staticmethod
+    def _matrix():
+        # 300 columns: blocks of 109 rows, the last one short
+        cells = np.random.default_rng(3).integers(0, 4, size=(300, 300))
+        cells[7] = 0
+        return AgreementMatrix(cells)
+
+    def test_refined_sums_never_build_the_support_mask(self, monkeypatch):
+        m = self._matrix()
+        j, p_x, p_y = refine(joint(m)), refine(marginal_x(m)), refine(marginal_y(m))
+
+        def spy(self):
+            raise AssertionError("the n x n support mask was built")
+
+        monkeypatch.setattr(RefinedDistribution, "support", property(spy))
+        h_xy = shannon_entropy(j)
+        assert h_xy == pytest.approx(h_ref(j.probs.ravel()), rel=1e-12)
+        assert shannon_entropy(p_y) == pytest.approx(h_ref(p_y.probs), rel=1e-12)
+        mi = mutual_information(j, p_y, p_x)
+        h_x_given_y = conditional_entropy(j, p_y)
+        assert h_x_given_y == pytest.approx(h_xy - shannon_entropy(p_y), rel=1e-12)
+        assert mi == pytest.approx(shannon_entropy(p_x) - h_x_given_y, rel=1e-10)
+
+    def test_mutual_information_over_several_blocks(self):
+        m = self._matrix()
+        j = refine(joint(m))
+        p_x, p_y = marginal_x(m).probs, marginal_y(m).probs
+        p = j.probs
+        want = math.fsum(
+            p[y, x] * math.log2(p[y, x] / (p_y[y] * p_x[x]))
+            for y, x in zip(*np.nonzero(p))
+        )
+        got = mutual_information(j, refine(marginal_y(m)), refine(marginal_x(m)))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestShannonEntropy:
     def test_known_values(self):
         assert shannon_entropy(rdist([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)

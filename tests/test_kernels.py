@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,3 +153,41 @@ def test_hist_kernel_tables_are_read_only():
             table[1, 0] = 1.0
         with pytest.raises(ValueError):
             table[0] *= 2.0
+
+
+def _frozen(counts):
+    counts = np.ascontiguousarray(counts, dtype=np.uint64)
+    counts.setflags(write=False)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "size, top",
+    [
+        (_kernels._SLICE_CELLS, 9),  # one whole slice: a single call
+        (_kernels._SLICE_CELLS + 1, 9),  # a slice and a one-count slice
+        (2 * _kernels._SLICE_CELLS, 9),  # two whole slices
+        (640_000, 9),  # n = 800: nineteen slices and a short one
+        (3 * _kernels._SLICE_CELLS + 5, _kernels._SLICE_CELLS + 3),  # slices longer than 2**15
+    ],
+)
+def test_hist_kernel_slices_give_the_same_bits(size, top):
+    rng = np.random.default_rng(size + top)
+    counts = rng.integers(0, top + 1, size=size).astype(np.uint64)
+    counts[-1] = top
+    read_only = _frozen(counts)
+    assert _kernels.xlog2_sum_hist(read_only, top) == _kernels.xlog2_sum_hist(counts, top)
+    assert _kernels.xlog2_sum_hist(read_only, top) == arange_xlog2_sum_hist(counts, top)
+
+
+def test_hist_kernel_copies_no_more_than_a_slice_of_read_only_counts():
+    cells = _frozen(np.random.default_rng(800).integers(0, 10, size=(800, 800)))
+    _kernels.xlog2_sum_hist(cells, 9)
+    tracemalloc.start()
+    try:
+        _kernels.xlog2_sum_hist(cells, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # np.bincount copies a read-only array whole: 5 MB here without slices
+    assert peak < _kernels._SLICE_CELLS * 8 + 64 * 1024

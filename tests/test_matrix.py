@@ -215,12 +215,83 @@ class TestSumsAndCounts:
         for arr in layouts:
             expected = bool((arr == 0).any())
             assert AgreementMatrix(arr).has_zero_cell() is expected
-            # _from_owned keeps a uint64 array's layout as it is
+            # _from_owned keeps a C-contiguous uint64 array and copies any other
             assert AgreementMatrix._from_owned(arr).has_zero_cell() is expected
 
     def test_has_zero_cell_with_the_largest_cell(self):
         assert not AgreementMatrix([[U64_MAX - 3, 1], [1, 1]]).has_zero_cell()
         assert AgreementMatrix([[U64_MAX, 0], [0, 0]]).has_zero_cell()
+
+
+def _layouts(cells: np.ndarray) -> dict[str, np.ndarray]:
+    """Fresh copies of ``cells`` as C, Fortran, strided and transposed arrays."""
+    wide = np.zeros((cells.shape[0], 2 * cells.shape[1]), dtype=cells.dtype)
+    wide[:, ::2] = cells
+    return {
+        "C": cells.copy(),
+        "F": np.asfortranarray(cells),
+        "strided": wide[:, ::2],
+        "transposed": cells.T.copy().T,
+    }
+
+
+class TestConstructionStatistics:
+    """The max, the line sums and the positive-cell count are reduced once at
+    construction; every later read returns them."""
+
+    @staticmethod
+    def _cells():
+        cells = np.random.default_rng(14).integers(0, 6, size=(9, 9)).astype(np.uint64)
+        cells[2] = 0  # an empty row and column
+        cells[:, 5] = 0
+        return cells
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "transposed"])
+    @pytest.mark.parametrize("make", [AgreementMatrix, AgreementMatrix._from_owned])
+    def test_equal_fresh_reductions_on_every_layout(self, layout, make):
+        arr = _layouts(self._cells())[layout]
+        want = arr.copy()
+        m = make(arr)
+        assert m.counts.flags.c_contiguous
+        assert (m.counts == want).all()
+        assert m.row_sums().tolist() == want.sum(axis=1).tolist()
+        assert m.col_sums().tolist() == want.sum(axis=0).tolist()
+        assert m.row_sums().dtype == m.col_sums().dtype == np.uint64
+        assert m.positive_cells == np.count_nonzero(want)
+        assert m.max_cell == int(want.max())
+        assert m.total == int(want.sum())
+        assert m.count_non_null_rows() == m.count_non_null_cols() == 8
+        assert m.has_zero_cell()
+
+    def test_split_total_gives_exact_line_sums(self):
+        cells = [[2**63, 2**62], [2**61, 2**61 - 1]]
+        m = AgreementMatrix(np.array(cells, dtype=np.uint64))
+        assert m.max_cell > U64_MAX // 4  # the total comes from the 32-bit halves
+        assert m.total == U64_MAX
+        assert m.row_sums().tolist() == [2**63 + 2**62, 2**62 - 1]
+        assert m.col_sums().tolist() == [2**63 + 2**61, 2**62 + 2**61 - 1]
+        assert m.positive_cells == 4 and not m.has_zero_cell()
+
+    def test_total_overflow_even_where_the_line_sums_wrap_to_zero(self):
+        # both line sums of the first row wrap: 2**64 reads as 0 in uint64
+        with pytest.raises(CountOverflowError) as exc:
+            AgreementMatrix(np.array([[2**63, 2**63], [0, 0]], dtype=np.uint64))
+        assert str(exc.value) == f"total count {2**64} exceeds 64-bit range"
+
+    def test_returned_sums_are_read_only(self):
+        m = AgreementMatrix([[1, 2], [3, 0]])
+        for sums in (m.row_sums(), m.col_sums()):
+            assert not sums.flags.writeable
+            with pytest.raises(ValueError):
+                sums[0] = 7
+        assert m.row_sums().tolist() == [3, 3]
+
+    def test_transpose_swaps_the_line_sums(self):
+        m = AgreementMatrix(self._cells())
+        t = m.transpose()
+        assert t.row_sums().tolist() == m.col_sums().tolist()
+        assert t.col_sums().tolist() == m.row_sums().tolist()
+        assert (t.positive_cells, t.max_cell, t.total) == (m.positive_cells, m.max_cell, m.total)
 
 
 class TestTranspose:

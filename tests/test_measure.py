@@ -394,7 +394,7 @@ class TestCountEntropyRoute:
         assert (b.m, b.l, b.h_x, b.h_y) == (a.l, a.m, a.h_y, a.h_x)
 
     def test_no_n_squared_float_copies(self):
-        n = 400
+        n = 800
         m = AgreementMatrix(np.random.default_rng(400).integers(0, 10, size=(n, n)))
         expected = ia_epsilon(m)
         tracemalloc.start()
@@ -404,8 +404,25 @@ class TestCountEntropyRoute:
         finally:
             tracemalloc.stop()
         assert got == expected
-        # bincount's int64 copy of the read-only cells is the one n**2 array left
-        assert peak < 1.5 * n * n * 8
+        # the histogram kernel's copy of one slice of the read-only cells is
+        # the largest array; a whole copy of them would be 5 MB
+        assert peak < _kernels._SLICE_CELLS * 8 + 64 * 1024
+
+    def test_ia_strict_makes_no_n_squared_temporary(self):
+        n = 800
+        m = AgreementMatrix(np.random.default_rng(800).integers(1, 10, size=(n, n)))
+        expected = ia_strict(m)
+        tracemalloc.start()
+        try:
+            got = ia_strict(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        # the joint, one row block of scratch, the two marginals and NumPy's
+        # 64 KiB ufunc buffer (8192 doubles) for a broadcast operand
+        block = infotheory._BLOCK_CELLS * 8
+        assert peak < n * n * 8 + block + 2 * n * 8 + 64 * 1024
 
 
 U = 2.0**-53
