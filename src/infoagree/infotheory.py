@@ -37,8 +37,9 @@ TOTAL_TOL = 1e-12
 """Absolute tolerance between a stated weight total and the exact sum."""
 
 _BLOCK_CELLS = 2**15
-"""About how many cells of a joint distribution the mutual information
-sum takes at a time: 256 KiB of float64 scratch."""
+"""About how many cells of a 2-d distribution, or of a matrix's counts, the
+mutual information and conditional entropy sums take at a time: 256 KiB
+per float64 scratch buffer."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def conditional_entropy(
     """H(W|Z) = -sum over cells (z, w) of p(z, w) * log2(p(z, w) / p(z)) = H(ZW) - H(Z),
     with Z on the 2-d joint's axis 0; ``given`` is Z's marginal, checked against the row sums."""
     p_z = _checked_marginal(joint_dist, 1, given, "z")
-    h = -_xlog2_ratio_sum(joint_dist, p_z, np.ones(joint_dist.probs.shape[1]))
+    h = -_xlog2_ratio_sum(joint_dist.probs, p_z, None, _is_refined(joint_dist))
     return _finalize_entropy(h, slack=MARGINAL_TOL)
 
 
@@ -215,7 +216,19 @@ def mutual_information(
     marginals of the 2-d joint's axes 0 and 1, each checked against the joint's sums."""
     p_a = _checked_marginal(joint_dist, 1, first, "first")
     p_b = _checked_marginal(joint_dist, 0, second, "second")
-    mi = _xlog2_ratio_sum(joint_dist, p_a, p_b)
+    mi = _xlog2_ratio_sum(joint_dist.probs, p_a, p_b, _is_refined(joint_dist))
+    return 0.0 if -PROB_SUM_TOL < mi < 0.0 else mi
+
+
+def _mutual_information_of_counts(
+    matrix: AgreementMatrix, first: CategoricalDistribution, second: CategoricalDistribution
+) -> float:
+    """mutual_information(joint(matrix), first, second), bit for bit, for a
+    positive ``matrix`` and its own marginals marginal_y and marginal_x, with
+    no joint: each row block of p is the counts over the total, divided
+    just as joint() divides them. The marginals go unchecked, as they are
+    the matrix's exact line sums over the same total."""
+    mi = _xlog2_ratio_sum(matrix.counts, first.probs, second.probs, total=float(matrix.total))
     return 0.0 if -PROB_SUM_TOL < mi < 0.0 else mi
 
 
@@ -245,36 +258,52 @@ def _is_refined(dist: CategoricalDistribution) -> bool:
     return False
 
 
-def _xlog2_ratio_sum(dist, a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the 2-d ``dist``'s cells.
+def _xlog2_ratio_sum(
+    cells: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray | None,
+    refined: bool = False,
+    total: float | None = None,
+) -> float:
+    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the cells of a 2-d p;
+    with ``b`` None, of p[i, j] * log2(p[i, j] / a[i]).
+
+    p comes from one of two sources. Without ``total``, p is ``cells``
+    itself, a joint distribution's probabilities, sliced a block at a time.
+    With ``total``, ``cells`` are positive counts, and each block of p is
+    formed as counts / total in a second scratch buffer; those are the bits
+    joint() would hold, so the sum is the same.
 
     The rows are taken in blocks of about _BLOCK_CELLS cells, each worked in
-    one reused scratch buffer and summed on its own, and the blocks' sums
-    are added in row order; a refined distribution's support is masked a
-    block at a time in one reused mask. So no temporary has the
-    distribution's shape. A masked cell has p = 0 and a ratio of 1, so a
-    block's sum adds nothing for it. NumPy's pairwise sum, unlike a BLAS
-    dot product, gives the same bits for any thread count.
+    reused scratch and summed on its own, and the blocks' sums are added in
+    row order. With ``refined``, the support p > 0 is masked a block at a
+    time in one reused mask. So no temporary has p's shape. A masked cell
+    has p = 0 and a ratio of 1, so a block's sum adds nothing for it.
+    NumPy's pairwise sum, unlike a BLAS dot product, gives the same bits
+    for any thread count.
     """
-    p, refined = dist.probs, _is_refined(dist)
-    rows, cols = p.shape
+    rows, cols = cells.shape
     step = max(1, _BLOCK_CELLS // cols)
     scratch = np.empty((min(step, rows), cols))
+    probs = None if total is None else np.empty(scratch.shape)
     support = np.empty(scratch.shape, dtype=bool) if refined else None
-    total = 0.0
+    acc = 0.0
     for start in range(0, rows, step):
-        block = p[start : start + step]
+        block = cells[start : start + step]
+        if probs is not None:
+            block = np.divide(block, total, out=probs[: len(block)])
         ratio = scratch[: len(block)]
-        cells = True
+        where = True
         if refined:
-            cells = np.greater(block, 0.0, out=support[: len(block)])
+            where = np.greater(block, 0.0, out=support[: len(block)])
             ratio.fill(1.0)
-        np.divide(block, a[start : start + step, None], out=ratio, where=cells)
-        np.divide(ratio, b, out=ratio, where=cells)
-        np.log2(ratio, out=ratio, where=cells)
+        np.divide(block, a[start : start + step, None], out=ratio, where=where)
+        if b is not None:
+            np.divide(ratio, b, out=ratio, where=where)
+        np.log2(ratio, out=ratio, where=where)
         np.multiply(block, ratio, out=ratio)
-        total += float(np.add.reduce(ratio, axis=None))
-    return total
+        acc += float(np.add.reduce(ratio, axis=None))
+    return acc
 
 
 def _finalize_entropy(h: float, slack: float = TOTAL_TOL) -> float:

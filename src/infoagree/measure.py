@@ -57,8 +57,11 @@ def ia_strict(matrix: AgreementMatrix) -> float:
     """Information agreement of a strictly positive matrix, in [0, 1].
 
     MI(X, Y) / min(H(X), H(Y)), as the paper defines it, over infotheory's
-    joint and marginal distributions. Raises ContainsZeroError if any cell
-    is zero; use ia_epsilon then.
+    marginal distributions. MI is taken from the counts a row block at a
+    time, with each p = count / total formed as infotheory's joint would
+    hold it, so no n x n joint is built and the bits are those of
+    mutual_information over that joint. Raises ContainsZeroError if any
+    cell is zero; use ia_epsilon then.
 
     MI is a sum of p * log2(p / (p_x * p_y)) terms, so it cancels no
     order-one entropies near independence. None of it goes through the
@@ -72,7 +75,7 @@ def ia_strict(matrix: AgreementMatrix) -> float:
         )
     p_x = infotheory.marginal_x(matrix)
     p_y = infotheory.marginal_y(matrix)
-    mi = infotheory.mutual_information(infotheory.joint(matrix), p_y, p_x)
+    mi = infotheory._mutual_information_of_counts(matrix, p_y, p_x)
     h_lo = min(infotheory.shannon_entropy(p_x), infotheory.shannon_entropy(p_y))
     return _absorb_rounding(mi / h_lo)
 

@@ -33,7 +33,8 @@ largest cell, top:
   np.bincount counts the tables _BLOCK_CELLS (2**15) cells at a time,
   through one reused int64 buffer, so no temporary has the matrix's shape.
 - Per-cell route, otherwise: one log1p per cell, in three float64 buffers
-  of the matrix's shape.
+  of the matrix's shape, with the line sums the matrix kept at
+  construction.
 
 Measured at n = 200 to 1600, the histogram route's time reaches the
 per-cell route's near top = n / 2; the quarter leaves a margin. The two
@@ -245,13 +246,13 @@ def _line_stats(matrix: AgreementMatrix) -> tuple[float, float, _Lines, _Lines]:
     if 4 * (matrix.max_cell + 1) <= matrix.n:
         rows, cols = _lines_from_histograms(matrix.counts, matrix.max_cell, total)
     else:
-        rows, cols = _lines_per_cell(matrix.counts, total)
+        rows, cols = _lines_per_cell(matrix, total)
     return float(total), float(rows.zeros.sum()), rows, cols
 
 
-def _lines_per_cell(counts: np.ndarray, total: np.uint64) -> tuple[_Lines, _Lines]:
-    """The rows and columns of uint64 ``counts``, which sum to ``total``,
-    with one log1p per cell.
+def _lines_per_cell(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, _Lines]:
+    """The rows and columns of ``matrix``, whose counts sum to ``total``,
+    with one log1p per cell; the line sums are the matrix's kept ones.
 
     It uses three float64 buffers of the counts' shape: the counts as
     floats, the terms, and a scratch whose uint64 view holds the exact
@@ -259,6 +260,7 @@ def _lines_per_cell(counts: np.ndarray, total: np.uint64) -> tuple[_Lines, _Line
     earlier per-epsilon evaluation; another order was measured to slow the
     caller's next large-array operations by 20-40% under glibc malloc.
     """
+    counts = matrix.counts
     cells = counts.astype(np.float64)
     terms = np.empty_like(cells)
     scratch = np.empty_like(cells)
@@ -268,8 +270,10 @@ def _lines_per_cell(counts: np.ndarray, total: np.uint64) -> tuple[_Lines, _Line
     zeros_per_row = n - np.add.reduce(terms, axis=1)
     zeros_per_col = n - np.add.reduce(terms, axis=0)
     lines = []
-    for axis, zeros in ((1, zeros_per_row), (0, zeros_per_col)):
-        sums = np.add.reduce(counts, axis=axis)
+    for axis, sums, zeros in (
+        (1, matrix.row_sums(), zeros_per_row),
+        (0, matrix.col_sums(), zeros_per_col),
+    ):
         # r - c is the sum of the line's other positive cells, so it is exact
         np.subtract(np.expand_dims(sums, axis), counts, out=scratch.view(np.uint64))
         np.copyto(terms, scratch.view(np.uint64))

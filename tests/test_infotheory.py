@@ -338,6 +338,41 @@ class TestConditionalEntropy:
         rhs = shannon_entropy(j) - shannon_entropy(my)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    # float hex recorded when every cell was still divided by a column
+    # marginal of ones; x / 1.0 == x, so skipping that divide moves no bit.
+    # Each matrix is given as H(X|Y) and, transposed, H(Y|X): refined, and
+    # unrefined where it has no zero; 300 rows take three row blocks
+    _PINNED_CONDITIONALS = {
+        "positive_2": ("0x1.d62adf1ea257cp-1", "0x1.d62adf1ea257cp-1"),
+        "positive_50": ("0x1.57ce02db08a09p+2", "0x1.57c4b25d10d98p+2"),
+        "positive_300": ("0x1.008b996499366p+3", "0x1.008b24e3f1771p+3"),
+        "zeros_3": ("0x1.b1607f6ed1c20p-1", "0x1.1a19b9126167dp-1"),
+        "zeros_300": ("0x1.9173abda8f0fcp+2", "0x1.912622ea1e626p+2"),
+    }
+
+    @staticmethod
+    def _pinned_matrices():
+        rng = np.random.default_rng(1502)
+        out = {
+            "positive_2": [[2, 1], [1, 2]],
+            "positive_50": rng.integers(1, 1000, size=(50, 50)),
+            "positive_300": rng.integers(1, 10, size=(300, 300)),
+            "zeros_3": [[4, 0, 1], [0, 0, 0], [2, 3, 0]],
+        }
+        sparse = rng.integers(1, 10, size=(300, 300)) * (rng.random((300, 300)) < 0.3)
+        sparse[7] = 0
+        out["zeros_300"] = sparse
+        return {name: AgreementMatrix(rows) for name, rows in out.items()}
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_CONDITIONALS))
+    def test_bits_are_pinned(self, name):
+        m = self._pinned_matrices()[name]
+        for matrix, want in zip((m, m.transpose()), self._PINNED_CONDITIONALS[name]):
+            j, given_z = joint(matrix), marginal_y(matrix)
+            assert conditional_entropy(refine(j), refine(given_z)).hex() == want
+            if not matrix.has_zero_cell():
+                assert conditional_entropy(j, given_z).hex() == want
+
 
 class TestMutualInformation:
     def test_product_joint_gives_zero(self):

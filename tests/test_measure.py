@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from decimal_reference import reference_ia_epsilon
@@ -141,7 +141,7 @@ class TestIaStrict:
     def test_goes_through_the_public_distributions(self, monkeypatch):
         # looked up on the module at call time, so a wrapper there sees every call
         calls = []
-        for name in ("marginal_x", "marginal_y", "joint", "mutual_information", "shannon_entropy"):
+        for name in ("marginal_x", "marginal_y", "shannon_entropy"):
             original = getattr(infotheory, name)
 
             def spy(*args, _name=name, _original=original):
@@ -149,12 +149,27 @@ class TestIaStrict:
                 return _original(*args)
 
             monkeypatch.setattr(infotheory, name, spy)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ia_strict must build no joint distribution")
+
+        # the mutual information comes from the counts, with no n x n joint
+        monkeypatch.setattr(infotheory, "joint", forbidden)
+        monkeypatch.setattr(infotheory, "mutual_information", forbidden)
         m = AgreementMatrix([[2, 1], [1, 2]])
         assert ia_strict(m) == pytest.approx(reference_ia_positive(m), abs=1e-12)
-        assert sorted(calls) == sorted(
-            ["marginal_x", "marginal_y", "joint", "mutual_information"] + ["shannon_entropy"] * 2
-        )
+        assert sorted(calls) == sorted(["marginal_x", "marginal_y"] + ["shannon_entropy"] * 2)
 
+    @given(positive_matrices(max_cell=2**40))
+    # several row blocks: 300 = 2 * 109 + 82 rows, the last block short, and
+    # 800 = 20 * 40 rows with cells up to 2**40
+    @example(AgreementMatrix(np.random.default_rng(300).integers(1, 10, size=(300, 300))))
+    @example(AgreementMatrix(np.random.default_rng(800).integers(1, 2**40, size=(800, 800))))
+    def test_equals_mutual_information_over_the_joint(self, m):
+        p_x, p_y = infotheory.marginal_x(m), infotheory.marginal_y(m)
+        mi = infotheory.mutual_information(infotheory.joint(m), p_y, p_x)
+        h_lo = min(infotheory.shannon_entropy(p_x), infotheory.shannon_entropy(p_y))
+        assert ia_strict(m) == measure._absorb_rounding(mi / h_lo)
 
     def test_value_does_not_depend_on_the_blas_thread_count(self):
         script = (
@@ -419,10 +434,11 @@ class TestCountEntropyRoute:
         finally:
             tracemalloc.stop()
         assert got == expected
-        # the joint, one row block of scratch, the two marginals and NumPy's
-        # 64 KiB ufunc buffer (8192 doubles) for a broadcast operand
+        # no joint: two row blocks of scratch (the probabilities and the
+        # terms), the two marginals and NumPy's 64 KiB ufunc buffer (8192
+        # doubles) for a broadcast operand
         block = infotheory._BLOCK_CELLS * 8
-        assert peak < n * n * 8 + block + 2 * n * 8 + 64 * 1024
+        assert peak < 2 * block + 2 * n * 8 + 64 * 1024
 
 
 U = 2.0**-53
