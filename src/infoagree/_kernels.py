@@ -11,10 +11,9 @@ instead of building them each time. Neither changes a bit of the result.
 
 np.bincount takes only a writeable array and silently copies any other,
 so counting a validated matrix's read-only cells in one call would copy all
-of them: 5 MB at n = 800. The histogram kernel therefore counts a long
-read-only input in slices of _SLICE_CELLS (2**15) cells, whose copies stay
-cache-sized, into one histogram; the counts, and so the result, are the
-same.
+of them: 5 MB at n = 800. The histogram kernel therefore counts its input
+in slices of _SLICE_CELLS (2**15) cells, whose copies stay cache-sized,
+into one histogram; the counts, and so the result, are the same.
 
 Call sites look the kernel up at call time as ``_kernels.xlog2_sum(...)``
 instead of binding it with ``from infoagree._kernels import xlog2_sum``, so
@@ -63,8 +62,10 @@ def _log2_table(size: int) -> np.ndarray:
 _LOG2_TABLE = _log2_table(2048)
 
 _SLICE_CELLS = 2**15
-"""How many read-only counts the histogram kernel hands np.bincount at a
-time, at least: 256 KiB of copy."""
+"""How many cells a blocked loop takes at a time: 256 KiB of 8-byte values.
+The histogram kernel hands np.bincount slices of at least this many counts,
+and infotheory's sums over 2-d arrays take row blocks of about this many
+cells."""
 
 
 def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
@@ -78,19 +79,16 @@ def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
     top + 1 entries; callers take this route only when that is no longer
     than the counts themselves.
 
-    Read-only counts of more than _SLICE_CELLS are counted a slice at a
-    time (module docstring). A slice is also at least as long as the
-    histogram, so adding up the slices' histograms costs no more than
-    counting them.
+    The counts are taken a slice of _SLICE_CELLS at a time (module
+    docstring), so at most one slice is ever copied; most inputs are one
+    slice. A slice is also at least as long as the histogram, so adding up
+    the slices' histograms costs no more than counting them.
     """
     keys = counts.ravel().view(np.int64)
-    if keys.flags.writeable or keys.size <= _SLICE_CELLS:
-        hist = np.bincount(keys, minlength=top + 1)
-    else:
-        step = max(_SLICE_CELLS, top + 1)
-        hist = np.zeros(top + 1, dtype=np.int64)
-        for start in range(0, keys.size, step):
-            hist += np.bincount(keys[start : start + step], minlength=top + 1)
+    step = max(_SLICE_CELLS, top + 1)
+    hist = np.bincount(keys[:step], minlength=top + 1)
+    for start in range(step, keys.size, step):
+        hist += np.bincount(keys[start : start + step], minlength=top + 1)
     hist = hist[1:]
     size = hist.size
     table = _LOG2_TABLE if size <= _LOG2_TABLE.shape[1] else _log2_table(size)

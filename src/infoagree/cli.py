@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 bad input or flags, 2 internal invariant violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -25,7 +26,6 @@ from infoagree.measure import ia_epsilon
 from infoagree.oracle import (
     DEFAULT_EPS_GRID,
     EPS_MIN,
-    ConvergenceConfig,
     check_convergence,
     default_convergence_config,
     sweep,
@@ -52,15 +52,22 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (InfoAgreeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code == EXIT_INPUT:
+            print(f"error: {exc}", file=sys.stderr)
+        elif isinstance(exc, InternalInvariantError):
+            print(f"internal error: {exc}", file=sys.stderr)
+        else:  # a bug outside the package's own error types
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a verb, or of a batch file, that raised ``exc``."""
+    if isinstance(exc, (InfoAgreeError, OSError)) and not isinstance(exc, InternalInvariantError):
         return EXIT_INPUT
-    except Exception as exc:  # a bug outside the package's own error types
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--final-tol",
         type=float,
         default=None,
-        help="largest acceptable final gap (default: 1e-6, or 0.1 for degenerate matrices)",
+        help="largest acceptable final gap (default: 1e-6, or 0.075 for degenerate matrices)",
     )
     p_sweep.add_argument(
         "--require-shrinking-tail",
@@ -143,14 +150,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_compute(args) -> int:
-    doc = load_document(args.path, args.format)
-    result = ia_epsilon(doc.matrix)
+def _measure(path: str, fmt: str | None):
+    """Read one matrix file and take its closed-form value: (document, result)."""
+    doc = load_document(path, fmt)
+    return doc, ia_epsilon(doc.matrix)
+
+
+def _render(args, doc, result, swept=None) -> None:
+    """Write the report, or with --plain the value alone, to --output or stdout."""
     if args.plain:
         text = format(result.value, ".17g")
     else:
-        text = dump_json(build_report(doc, result, version=__version__))
+        text = dump_json(build_report(doc, result, version=__version__, sweep=swept))
     _write_output(text + "\n", args.output)
+
+
+def _cmd_compute(args) -> int:
+    _render(args, *_measure(args.path, args.format))
     return EXIT_OK
 
 
@@ -158,33 +174,15 @@ def _cmd_sweep(args) -> int:
     grid = _epsilon_grid(args.eps_from, args.eps_to, args.eps_steps)
     if args.final_tol is not None and not (math.isfinite(args.final_tol) and args.final_tol >= 0.0):
         raise InfoAgreeError(f"--final-tol must be finite and >= 0, got {args.final_tol!r}")
-    doc = load_document(args.path, args.format)
-    result = ia_epsilon(doc.matrix)
+    doc, result = _measure(args.path, args.format)
     evaluations = sweep(doc.matrix, grid)
-    defaults = default_convergence_config(doc.matrix)
-    config = ConvergenceConfig(
-        final_tol=args.final_tol if args.final_tol is not None else defaults.final_tol,
-        require_shrinking_tail=(
-            args.require_shrinking_tail
-            if args.require_shrinking_tail is not None
-            else defaults.require_shrinking_tail
-        ),
+    flags = {"final_tol": args.final_tol, "require_shrinking_tail": args.require_shrinking_tail}
+    config = dataclasses.replace(
+        default_convergence_config(doc.matrix),
+        **{name: value for name, value in flags.items() if value is not None},
     )
     verdict = check_convergence(evaluations, result.value, config)
-    if args.plain:
-        text = format(result.value, ".17g")
-    else:
-        text = dump_json(
-            build_report(
-                doc,
-                result,
-                version=__version__,
-                sweep_result=evaluations,
-                convergence=verdict,
-                convergence_config=config,
-            )
-        )
-    _write_output(text + "\n", args.output)
+    _render(args, doc, result, (evaluations, verdict, config))
     return EXIT_OK if verdict.passed else EXIT_CONVERGENCE
 
 
@@ -199,18 +197,10 @@ def _cmd_batch(args) -> int:
     for name in names:
         path = os.path.join(args.directory, name)
         try:
-            doc = load_document(path, args.format)
-            result = ia_epsilon(doc.matrix)
-            record = build_report(doc, result, version=__version__)
-        except InternalInvariantError as exc:
+            record = build_report(*_measure(path, args.format), version=__version__)
+        except Exception as exc:  # reported inline, so the other files keep their records
             record = error_record(path, exc)
-            code = EXIT_INTERNAL
-        except (InfoAgreeError, OSError) as exc:
-            record = error_record(path, exc)
-            code = max(code, EXIT_INPUT)
-        except Exception as exc:  # a bug: report it, and keep the other files' records
-            record = error_record(path, exc)
-            code = EXIT_INTERNAL
+            code = max(code, _exit_code(exc))
         lines.append(dump_json(record, indent=None))
     _write_output("".join(line + "\n" for line in lines), args.output)
     return code

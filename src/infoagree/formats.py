@@ -18,15 +18,17 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from infoagree import matrix as _matrix
 from infoagree.errors import InternalInvariantError, ParseError
 from infoagree.matrix import AgreementMatrix
-from infoagree.measure import IaResult
-from infoagree.oracle import ConvergenceConfig, ConvergenceReport, EpsilonEvaluation
+
+if TYPE_CHECKING:  # build_report's annotations only
+    from infoagree.measure import IaResult
+    from infoagree.oracle import ConvergenceConfig, ConvergenceReport, EpsilonEvaluation
 
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
@@ -279,11 +281,13 @@ def build_report(
     doc: MatrixDocument,
     result: IaResult,
     version: str,
-    sweep_result: Sequence[EpsilonEvaluation] | None = None,
-    convergence: ConvergenceReport | None = None,
-    convergence_config: ConvergenceConfig | None = None,
+    sweep: tuple[Sequence[EpsilonEvaluation], ConvergenceReport, ConvergenceConfig] | None = None,
 ) -> dict[str, Any]:
     """Assemble the report emitted by the CLI.
+
+    ``sweep``, for the sweep verb, is (evaluations, verdict, config): the
+    sweep's rows, the convergence report on them and the configuration it
+    was judged by.
 
     The input descriptor deliberately omits the source format so that CSV
     and JSON encodings of the same matrix yield identical reports up to
@@ -306,25 +310,20 @@ def build_report(
             "h_xy": result.h_xy,
         },
     }
-    if sweep_result is not None:
-        rows = []
-        for i, ev in enumerate(sweep_result):
-            row = {"epsilon": ev.epsilon, "ia_value": ev.ia_value}
-            if convergence is not None:
-                row["gap"] = convergence.gaps[i]
-            row.update({"h_x": ev.h_x, "h_y": ev.h_y, "h_xy": ev.h_xy})
-            rows.append(row)
-        report["sweep"] = rows
-    if convergence is not None:
+    if sweep is not None:
+        evaluations, verdict, config = sweep
+        report["sweep"] = [
+            {"epsilon": ev.epsilon, "ia_value": ev.ia_value, "gap": gap,
+             "h_x": ev.h_x, "h_y": ev.h_y, "h_xy": ev.h_xy}
+            for ev, gap in zip(evaluations, verdict.gaps)
+        ]
         report["convergence"] = {
-            "target": convergence.target,
-            "final_tol": convergence_config.final_tol if convergence_config else None,
-            "require_shrinking_tail": (
-                convergence_config.require_shrinking_tail if convergence_config else None
-            ),
-            "tail_shrinking": convergence.tail_shrinking,
-            "within_final_tol": convergence.within_final_tol,
-            "passed": convergence.passed,
+            "target": verdict.target,
+            "final_tol": config.final_tol,
+            "require_shrinking_tail": config.require_shrinking_tail,
+            "tail_shrinking": verdict.tail_shrinking,
+            "within_final_tol": verdict.within_final_tol,
+            "passed": verdict.passed,
         }
     report["version"] = version
     return report

@@ -36,12 +36,6 @@ joint distribution; exceeds accumulated rounding for supports up to ~10^8."""
 TOTAL_TOL = 1e-12
 """Absolute tolerance between a stated weight total and the exact sum."""
 
-_BLOCK_CELLS = 2**15
-"""About how many cells of a 2-d distribution, or of a matrix's counts, the
-mutual information and conditional entropy sums take at a time: 256 KiB
-per float64 scratch buffer."""
-
-
 @dataclass(frozen=True)
 class CategoricalDistribution:
     """Finite probability distribution over the indices of ``probs``: a read-only
@@ -274,16 +268,16 @@ def _xlog2_ratio_sum(
     formed as counts / total in a second scratch buffer; those are the bits
     joint() would hold, so the sum is the same.
 
-    The rows are taken in blocks of about _BLOCK_CELLS cells, each worked in
-    reused scratch and summed on its own, and the blocks' sums are added in
-    row order. With ``refined``, the support p > 0 is masked a block at a
+    The rows are taken in blocks of about _kernels._SLICE_CELLS cells, each
+    worked in reused scratch of 256 KiB and summed on its own, and the
+    blocks' sums are added in row order. With ``refined``, the support p > 0 is masked a block at a
     time in one reused mask. So no temporary has p's shape. A masked cell
     has p = 0 and a ratio of 1, so a block's sum adds nothing for it.
     NumPy's pairwise sum, unlike a BLAS dot product, gives the same bits
     for any thread count.
     """
     rows, cols = cells.shape
-    step = max(1, _BLOCK_CELLS // cols)
+    step = max(1, _kernels._SLICE_CELLS // cols)
     scratch = np.empty((min(step, rows), cols))
     probs = None if total is None else np.empty(scratch.shape)
     support = np.empty(scratch.shape, dtype=bool) if refined else None

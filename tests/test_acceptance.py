@@ -69,15 +69,9 @@ def test_criterion_02_closed_form_matches_epsilon_oracle():
 
 
 def test_criterion_03_degenerate_sweep_converges():
-    # Final-gap bound re-frozen at 0.1 after an oracle scan of this population:
-    # the slow 1/log(1/eps) regime peaks at 0.0963 (n=10, m=1, unit count).
-    #
-    # When the target is 0 (m = n), the sweep converges so fast that near
-    # eps = 1e-12 the oracle's entropy-difference form sits on its
-    # double-precision cancellation floor (~4e-5; the 60-digit gap sequence
-    # still shrinks). Below 1e-4 the limit is already resolved and a
-    # shrinking tail would measure arithmetic noise, so it is not demanded.
-    noise_floor = 1e-4
+    # The slow 1/log(1/eps) regime: at the default grid's last point every
+    # draw is well inside 0.1 (the oracle's docstring gives the worst case),
+    # and its gaps shrink towards the end of the grid.
     with criterion(3, "degenerate sweeps shrink towards (n - m) / n, final gap <= 0.1"):
         rng = np.random.default_rng(303)
         start = time.perf_counter()
@@ -89,7 +83,7 @@ def test_criterion_03_degenerate_sweep_converges():
             report = check_convergence(
                 evaluations, (n - m) / n, ConvergenceConfig(final_tol=0.1, require_shrinking_tail=True)
             )
-            assert report.tail_shrinking or report.gaps[-1] <= noise_floor
+            assert report.tail_shrinking
             assert report.within_final_tol
         assert time.perf_counter() - start < 10.0
 

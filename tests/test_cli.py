@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -120,6 +123,17 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["convergence"]["passed"] is True
 
+    @pytest.mark.parametrize("text", ["1,0\n1000000,0\n", "1,0,0\n10,0,0\n1000000,0,0\n"])
+    def test_skewed_single_column_reaches_its_limit(self, capsys, tmp_path, text):
+        # a grid that stopped at 1e-12 left gaps of 0.149 and 0.178 here and exited 3
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, _ = run(capsys, "sweep", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["ia"]["value"] == 0.0
+        assert report["convergence"]["passed"] is True
+
     @pytest.mark.parametrize("eps_to", ["1e-300", "1e-320"])
     def test_eps_below_the_floor_exits_1(self, capsys, tmp_path, eps_to):
         path = tmp_path / "m.csv"
@@ -155,7 +169,7 @@ class TestSweep:
         report = json.loads(out)
         assert report["convergence"]["tail_shrinking"] is True
         assert report["convergence"]["require_shrinking_tail"] is True
-        assert report["convergence"]["final_tol"] == 0.1
+        assert report["convergence"]["final_tol"] == 0.075
 
     def test_strict_tolerance_fails_with_exit_3(self, capsys, table_csv):
         code, out, _ = run(capsys, "sweep", "--final-tol", "1e-9", table_csv)
@@ -353,6 +367,67 @@ class TestExitCodes:
         assert records[0]["error"] == {"type": "RuntimeError", "message": "forced for the test"}
         assert records[1]["error"]["type"] == "AllZeroError"
         assert "ia" in records[2]
+
+
+_ALL_ZERO = "agreement matrix must contain at least one positive cell"
+
+
+# the classes a stand-in for ia_epsilon raises, for the cases that force a bug
+_FORCED = {"invariant": InternalInvariantError, "unexpected": RuntimeError}
+
+
+# verb, case, expected exit code, expected stderr. A batch reports a file's
+# failure in that file's record, so its stderr stays empty
+_EXIT_CODE_CONTRACT = [
+    ("compute", "ok", 0, ""),
+    ("compute", "bad input", 1, f"error: {_ALL_ZERO}\n"),
+    ("compute", "invariant", 2, "internal error: forced for the test\n"),
+    ("compute", "unexpected", 2, "internal error: RuntimeError: forced for the test\n"),
+    ("sweep", "ok", 0, ""),
+    ("sweep", "bad input", 1, f"error: {_ALL_ZERO}\n"),
+    ("sweep", "invariant", 2, "internal error: forced for the test\n"),
+    ("sweep", "unexpected", 2, "internal error: RuntimeError: forced for the test\n"),
+    ("sweep", "failed verdict", 3, ""),
+    ("batch", "ok", 0, ""),
+    ("batch", "bad input", 1, ""),
+    ("batch", "invariant", 2, ""),
+    ("batch", "unexpected", 2, ""),
+]
+
+
+class TestExitCodeContract:
+    """0 ok, 1 bad input, 2 a bug, 3 a failed convergence check, in every verb."""
+
+    @pytest.mark.parametrize("verb, case, code, err", _EXIT_CODE_CONTRACT)
+    def test_exit_code_and_stderr(self, capsys, tmp_path, monkeypatch, verb, case, code, err):
+        (tmp_path / "m.csv").write_text("0,0\n0,0\n" if case == "bad input" else "4,0\n6,0\n")
+        if case in _FORCED:
+
+            def broken(matrix):
+                raise _FORCED[case]("forced for the test")
+
+            monkeypatch.setattr(infoagree.cli, "ia_epsilon", broken)
+        flags = ["--final-tol", "1e-9"] if case == "failed verdict" else []
+        target = str(tmp_path if verb == "batch" else tmp_path / "m.csv")
+        got_code, out, got_err = run(capsys, verb, *flags, target)
+        assert (got_code, got_err) == (code, err)
+        if verb == "batch":
+            (record,) = [json.loads(line) for line in out.splitlines()]
+            assert ("error" in record) == (case != "ok")
+
+    @pytest.mark.parametrize("verb", ["compute", "sweep", "batch"])
+    @pytest.mark.parametrize("good", [True, False])
+    def test_python_dash_o_keeps_the_contract(self, capsys, tmp_path, verb, good):
+        # -O strips assert statements, so no check may rest on one
+        (tmp_path / "m.csv").write_text("2,1\n0,1\n" if good else "2,x\n0,1\n")
+        target = str(tmp_path if verb == "batch" else tmp_path / "m.csv")
+        src = os.path.dirname(os.path.dirname(infoagree.cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "infoagree.cli", verb, target],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, verb, target)
+        assert done.returncode == (0 if good else 1)
 
 
 class TestArgumentHandling:

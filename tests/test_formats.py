@@ -677,7 +677,7 @@ class TestGoldenReports:
         evaluations = sweep(doc.matrix, [1e-2, 1e-5, 1e-9])
         config = ConvergenceConfig(final_tol=1e-6, require_shrinking_tail=False)
         verdict = check_convergence(evaluations, result.value, config)
-        report = build_report(doc, result, "9.9.9", evaluations, verdict, config)
+        report = build_report(doc, result, "9.9.9", sweep=(evaluations, verdict, config))
         assert dump_json(report) == _GOLDEN_SWEEP
 
     def test_compact_batch_record_escapes_labels_and_path(self):

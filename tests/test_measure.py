@@ -437,7 +437,7 @@ class TestCountEntropyRoute:
         # no joint: two row blocks of scratch (the probabilities and the
         # terms), the two marginals and NumPy's 64 KiB ufunc buffer (8192
         # doubles) for a broadcast operand
-        block = infotheory._BLOCK_CELLS * 8
+        block = _kernels._SLICE_CELLS * 8
         assert peak < 2 * block + 2 * n * 8 + 64 * 1024
 
 
