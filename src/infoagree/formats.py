@@ -36,6 +36,8 @@ JSON_FORMAT = "json"
 _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 # the line boundaries of str.splitlines()
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# a JSON string literal, its escapes included
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 
 # the C string escaper behind json.dumps(str)
 _encode_str = json.encoder.encode_basestring_ascii
@@ -171,8 +173,10 @@ def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
         raise ParseError('"matrix" must be an array of arrays')
     if not rows:
         raise ParseError('"matrix" is empty')
-    # np.array makes true and false 1 and 0, so text holding either goes cell by cell
-    counts = None if "true" in text or "false" in text else _square_int_array(rows)
+    # np.array makes true and false 1 and 0, so text holding either outside its
+    # string literals goes cell by cell; labels such as "true_pos" do not count
+    bare = _JSON_STRING.sub("", text) if "true" in text or "false" in text else ""
+    counts = None if "true" in bare or "false" in bare else _square_int_array(rows)
     if counts is None:
         _check_json_cells(rows)
 

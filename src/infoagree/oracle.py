@@ -31,13 +31,16 @@ largest cell, top:
   in line y, A_y = sum over k >= 1 of h[y, k] * k * log1p((r_y - k) / k),
   one log1p per table entry. h * k and r_y - k are exact, as r_y < n**2.
   np.bincount counts the tables _BLOCK_CELLS (2**15) cells at a time,
-  through one reused int64 buffer, so no temporary has the matrix's shape.
-- Per-cell route, otherwise: one log1p per cell, in three float64 buffers
-  of the matrix's shape, with the line sums the matrix kept at
-  construction.
+  through one reused int64 buffer.
+- Per-cell route, otherwise: one log1p per cell, a block of whole rows of
+  about _BLOCK_CELLS cells at a time, through three reused float64 block
+  buffers.
 
-Measured at n = 200 to 1600, the histogram route's time reaches the
-per-cell route's near top = n / 2; the quarter leaves a margin. The two
+Both routes read the line sums the matrix kept at construction, and
+neither makes a temporary of the matrix's shape. Measured with counts
+uniform in 0..top, the histogram route's time reaches the per-cell route's
+near top + 1 = n / 3 at n = 400, n / 4 to n / 5 at n = 800 and n / 6 to
+n / 8 at n = 1600; below n = 64 the two take about the same time. The two
 routes add the same terms in different groups, so their values can differ
 in the last bit or two.
 
@@ -107,7 +110,7 @@ EPS_MIN = 2.0**64 * sys.float_info.min
 below 2**64, epsilon / total is still a normal double."""
 
 _BLOCK_CELLS = 2**15
-"""About how many cells the histogram route keys at a time: 256 KiB of int64."""
+"""About how many cells either route takes at a time: 256 KiB per buffer."""
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(1e-2, 1e-282, 11).tolist())
 """Geometric sweep grid, 1e-2 down to 1e-282 in steps of 28 decades; also
@@ -155,8 +158,9 @@ class ConvergenceConfig:
 class ConvergenceReport:
     """Gap diagnostics of a sweep against a target value.
 
-    tail_shrinking: the last gap improves on the first and the final three
-        gaps are non-increasing (within TAIL_SLACK).
+    tail_shrinking: the last gap improves on the first or is itself within
+        TAIL_SLACK, and the final three gaps are non-increasing (within
+        TAIL_SLACK).
     within_final_tol: the last gap is at most config.final_tol.
     passed: within_final_tol, and tail_shrinking too when required.
     """
@@ -255,10 +259,8 @@ def _line_stats(matrix: AgreementMatrix) -> tuple[float, float, _Lines, _Lines]:
     (n, top + 1) tables, are at most a quarter of the matrix, and the
     per-cell route otherwise (module docstring)."""
     total = np.uint64(matrix.total)
-    if 4 * (matrix.max_cell + 1) <= matrix.n:
-        rows, cols = _lines_from_histograms(matrix.counts, matrix.max_cell, total)
-    else:
-        rows, cols = _lines_per_cell(matrix, total)
+    by_histograms = 4 * (matrix.max_cell + 1) <= matrix.n
+    rows, cols = (_lines_from_histograms if by_histograms else _lines_per_cell)(matrix, total)
     return float(total), float(rows.zeros.sum()), rows, cols
 
 
@@ -266,59 +268,58 @@ def _lines_per_cell(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, 
     """The rows and columns of ``matrix``, whose counts sum to ``total``,
     with one log1p per cell; the line sums are the matrix's kept ones.
 
-    It uses three float64 buffers of the counts' shape: the counts as
-    floats, the terms, and a scratch whose uint64 view holds the exact
-    differences r - c. They are made in that order, the order of the
-    earlier per-epsilon evaluation; another order was measured to slow the
-    caller's next large-array operations by 20-40% under glibc malloc.
+    The cells go a block of whole rows at a time, about _BLOCK_CELLS cells,
+    through three reused float64 block buffers: the counts as floats, the
+    terms, and a scratch whose uint64 view holds the exact differences
+    r - c. Each rater's A is the sum of its blocks' sums.
     """
-    counts = matrix.counts
-    cells = counts.astype(np.float64)
-    terms = np.empty_like(cells)
-    scratch = np.empty_like(cells)
-    # min(c, 1) marks the positive cells, in floats: no n**2 mask
-    np.minimum(cells, 1.0, out=terms)
-    n = float(counts.shape[0])
-    zeros_per_row = n - np.add.reduce(terms, axis=1)
-    zeros_per_col = n - np.add.reduce(terms, axis=0)
-    lines = []
-    for axis, sums, zeros in (
-        (1, matrix.row_sums(), zeros_per_row),
-        (0, matrix.col_sums(), zeros_per_col),
-    ):
-        # r - c is the sum of the line's other positive cells, so it is exact
-        np.subtract(np.expand_dims(sums, axis), counts, out=scratch.view(np.uint64))
-        np.copyto(terms, scratch.view(np.uint64))
-        # a zero cell divides by 1, and its 0 * log1p(r) adds nothing
-        np.maximum(cells, 1.0, out=scratch)
-        np.divide(terms, scratch, out=terms)
-        np.log1p(terms, out=terms)
-        np.multiply(terms, cells, out=terms)
-        own = float(np.add.reduce(terms, axis=None))
-        lines.append(_Lines(own, sums, total, zeros))
-    return lines[0], lines[1]
+    n = matrix.n
+    step = max(1, _BLOCK_CELLS // n)
+    buffers = [np.empty(min(step, n) * n) for _ in range(3)]
+    row_sums = matrix.row_sums()[:, None]
+    zeros_per_row = np.empty(n)
+    positive_per_col = np.zeros(n)
+    own = [0.0, 0.0]
+    for start in range(0, n, step):
+        block = matrix.counts[start : start + step]
+        cells, terms, scratch = (buf[: block.size].reshape(block.shape) for buf in buffers)
+        np.copyto(cells, block)
+        # min(c, 1) marks the positive cells, in floats: no mask of the block
+        np.minimum(cells, 1.0, out=terms)
+        zeros_per_row[start : start + step] = n - np.add.reduce(terms, axis=1)
+        positive_per_col += np.add.reduce(terms, axis=0)
+        for i, sums in enumerate((row_sums[start : start + step], matrix.col_sums())):
+            # r - c is the sum of the line's other positive cells, so it is exact
+            np.subtract(sums, block, out=scratch.view(np.uint64))
+            np.copyto(terms, scratch.view(np.uint64))
+            # a zero cell divides by 1, and its 0 * log1p(r) adds nothing
+            np.maximum(cells, 1.0, out=scratch)
+            np.divide(terms, scratch, out=terms)
+            np.log1p(terms, out=terms)
+            np.multiply(terms, cells, out=terms)
+            own[i] += float(np.add.reduce(terms, axis=None))
+    rows = _Lines(own[0], matrix.row_sums(), total, zeros_per_row)
+    return rows, _Lines(own[1], matrix.col_sums(), total, n - positive_per_col)
 
 
-def _lines_from_histograms(
-    counts: np.ndarray, top: int, total: np.uint64
-) -> tuple[_Lines, _Lines]:
-    """The rows and columns of uint64 ``counts``, whose largest cell ``top``
-    is below n and which sum to ``total``, with one log1p per value a line
-    can hold rather than one per cell:
+def _lines_from_histograms(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, _Lines]:
+    """The rows and columns of ``matrix``, whose largest cell top is below n
+    and whose counts sum to ``total``, with one log1p per value a line can
+    hold rather than one per cell:
 
         A_y = sum over k >= 1 of h[y, k] * k * log1p((r_y - k) / k)
 
-    where h[y, k] counts the cells equal to k in line y. The line sums and
-    zero counts come from the same histograms.
+    where h[y, k] counts the cells equal to k in line y. The line sums are
+    the matrix's kept ones, and the zero counts come from the histograms.
     """
-    values = np.arange(1, top + 1, dtype=np.int64)
+    values = np.arange(1, matrix.max_cell + 1, dtype=np.int64)
+    line_sums = (matrix.row_sums(), matrix.col_sums())
     lines = []
-    for hist in _histograms(counts, top + 1):
+    for hist, sums in zip(_histograms(matrix.counts, matrix.max_cell + 1), line_sums):
         positive = hist[:, 1:]
         # r_y <= n * top < n**2, so r_y - k is exact in float64. It is
         # negative only where the line has no cell equal to k, h = 0, and is
         # clipped to 0 there, so that log1p never sees -1
-        sums = positive @ values
         terms = np.subtract(sums[:, None], values, dtype=np.float64)
         np.maximum(terms, 0.0, out=terms)
         np.divide(terms, values, out=terms)
@@ -326,7 +327,7 @@ def _lines_from_histograms(
         positive *= values  # h * k, exact
         terms *= positive
         own = float(np.add.reduce(terms, axis=None))
-        lines.append(_Lines(own, sums.astype(np.uint64), total, hist[:, 0].astype(np.float64)))
+        lines.append(_Lines(own, sums, total, hist[:, 0].astype(np.float64)))
     return lines[0], lines[1]
 
 
@@ -406,7 +407,9 @@ def check_convergence(
         raise EmptySweepError("cannot judge convergence of an empty sweep")
     gaps = tuple(abs(e.ia_value - target) for e in evaluations)
     tail = gaps[-3:]
-    tail_shrinking = gaps[-1] < gaps[0] and all(
+    # a sweep that sits on its limit has every gap within the slack of 0
+    improved = gaps[-1] < gaps[0] or gaps[-1] <= TAIL_SLACK
+    tail_shrinking = improved and all(
         later <= earlier + TAIL_SLACK for earlier, later in zip(tail, tail[1:])
     )
     within_final_tol = gaps[-1] <= config.final_tol

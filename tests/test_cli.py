@@ -134,6 +134,19 @@ class TestSweep:
         assert report["ia"]["value"] == 0.0
         assert report["convergence"]["passed"] is True
 
+    @pytest.mark.parametrize("text", ["1,0\n1,0\n", "5,0\n5,0\n", "0,3,0\n0,3,0\n0,3,0\n"])
+    def test_sweep_that_sits_on_its_limit_passes(self, capsys, tmp_path, text):
+        # every value is the limit 0 to within an ulp, so no gap can shrink
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, _ = run(capsys, "sweep", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["ia"]["value"] == 0.0
+        assert max(row["gap"] for row in report["sweep"]) <= 1e-15
+        assert report["convergence"]["tail_shrinking"] is True
+        assert report["convergence"]["passed"] is True
+
     @pytest.mark.parametrize("eps_to", ["1e-300", "1e-320"])
     def test_eps_below_the_floor_exits_1(self, capsys, tmp_path, eps_to):
         path = tmp_path / "m.csv"

@@ -318,14 +318,15 @@ class TestParseJson:
             parse_json('{"matrix": ' + "[" * depth + "]" * depth + "}")
         assert str(exc.value) == "invalid JSON: arrays or objects nested too deeply"
 
-    def test_large_labelled_json_takes_the_array_path(self, monkeypatch):
+    @pytest.mark.parametrize("names", [("c",), ("true_pos", "false_neg", 'tr\\"ue')])
+    def test_large_labelled_json_takes_the_array_path(self, monkeypatch, names):
         def refuse(rows):
             raise AssertionError("well-formed JSON fell back to the per-cell checks")
 
         monkeypatch.setattr(formats, "_check_json_cells", refuse)
         n = 300
         counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
-        labels = [f"c{j}" for j in range(n)]
+        labels = [f"{names[j % len(names)]}{j}" for j in range(n)]
         doc = parse_json(json.dumps({"labels": labels, "matrix": counts.tolist()}))
         assert doc.labels == tuple(labels)
         assert np.array_equal(doc.matrix.counts, counts)
@@ -363,7 +364,7 @@ def json_texts(draw):
     obj = {"matrix": rows}
     n_labels = draw(st.sampled_from([None] * 3 + [n] * 2 + [n + 1]))
     if n_labels is not None:
-        names = st.sampled_from(["a", "b", "true", "false", 'q"', "é"])
+        names = st.sampled_from(["a", "b", "true", "false", 'q"', "é", "true_pos", "false_neg", 'x\\"true'])
         obj = {"labels": draw(st.lists(names, min_size=n_labels, max_size=n_labels)), **obj}
     text = json.dumps(obj)
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
@@ -385,6 +386,9 @@ class TestJsonArrayPathEquivalence:
             pytest.param('{"matrix": [[false, 1], [0, 1]]}', id="false-cell"),
             pytest.param('{"labels": ["true", "false"], "matrix": [[1, 2], [3, 4]]}', id="bool-words-in-labels"),
             pytest.param('{"labels": [true, "b"], "matrix": [[1, 2], [3, 4]]}', id="bool-label"),
+            pytest.param('{"labels": ["true_pos", "false_neg"], "matrix": [[1, true], [0, 1]]}', id="true-cell-beside-bool-word-labels"),
+            pytest.param('{"labels": ["x\\\\", "y\\""], "matrix": [[1, false], [0, 1]]}', id="false-cell-after-escapes"),
+            pytest.param('{"labels": ["x\\"true", "false\\\\"], "matrix": [[1, 2], [0, 1]]}', id="bool-words-beside-escapes"),
             pytest.param(f'{{"matrix": [[{2**63}, 1], [1, 1]]}}', id="cell-2**63"),
             pytest.param(f'{{"matrix": [[{2**63}, {2**63}], [{2**63}, {2**63}]]}}', id="all-cells-2**63"),
             pytest.param(f'{{"matrix": [[{U64_MAX}, 0], [0, 0]]}}', id="cell-2**64-1"),

@@ -210,6 +210,14 @@ class TestEvalIaAt:
         assert 4 * (m.max_cell + 1) <= m.n  # the histogram route's rule
         _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
 
+    @pytest.mark.parametrize("n", [182, 400])
+    def test_per_cell_route_in_row_blocks_matches_the_reference(self, n):
+        # 182 rows are a block of 180 and one of 2; 400 are four of 81 and one of 76
+        m = AgreementMatrix(np.random.default_rng(n).choice([0, 1, 7, 1000, 10**6], (n, n)))
+        assert 4 * (m.max_cell + 1) > n
+        for ev in sweep(m, (1e-2, 1e-9)):
+            _assert_matches_reference(m, ev, 1e-12)
+
     @pytest.mark.parametrize(
         "top, route",
         [
@@ -243,7 +251,7 @@ class TestEvalIaAt:
     def test_the_routes_agree(self, m):
         total = np.uint64(m.total)
         by_cells = infoagree.oracle._lines_per_cell(m, total)
-        by_hists = infoagree.oracle._lines_from_histograms(m.counts, m.max_cell, total)
+        by_hists = infoagree.oracle._lines_from_histograms(m, total)
         for by_cell, by_hist in zip(by_cells, by_hists):
             for name in ("sums", "sums_or_one", "others", "zeros", "other_zeros"):
                 assert np.array_equal(getattr(by_hist, name), getattr(by_cell, name)), name
@@ -322,6 +330,9 @@ class TestSweep:
         assert str(exc.value) == message
 
     @given(sweep_matrices(), st.sampled_from(SWEEP_GRIDS))
+    # the per-cell route in several row blocks, 300 = 2 * 109 + 82, from a few
+    # values up to 10**6 so that the decimal reference stays quick
+    @example(AgreementMatrix(np.random.default_rng(300).choice([0, 1, 7, 1000, 10**6], (300, 300))), (1e-3,))
     def test_equals_evaluating_each_epsilon_matrix(self, m, grid):
         expected = _outcome(lambda: [eval_ia_at(zero_freed(m, e)) for e in grid])
         assert _outcome(lambda: sweep(m, grid)) == expected
@@ -379,7 +390,8 @@ class TestSweep:
         assert 4 * (m.max_cell + 1) > n
         grids = [DEFAULT_EPS_GRID[:1], DEFAULT_EPS_GRID, tuple(np.geomspace(1e-2, 1e-14, 60))]
         peaks = [_peak_bytes(lambda: sweep(m, grid)) for grid in grids]
-        assert max(peaks) <= 3 * n * n * 8 + n * n + 64 * 1024
+        # three block buffers and a few n-vectors, made once per matrix
+        assert max(peaks) <= 3 * infoagree.oracle._BLOCK_CELLS * 8 + 16 * n * 8 + 64 * 1024
         assert max(peaks) - min(peaks) <= 16 * 1024
 
     def test_histogram_route_makes_no_temporary_of_the_matrix_shape(self):
@@ -424,6 +436,33 @@ class TestCheckConvergence:
         evs = sweep(m, DEFAULT_EPS_GRID)
         report = check_convergence(evs, ia_epsilon(m).value, default_convergence_config(m))
         assert report.passed
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [1, 0]], [[5, 0], [5, 0]], [[0, 3, 0]] * 3])
+    def test_sweep_on_its_limit_has_a_shrinking_tail(self, rows):
+        m = AgreementMatrix(rows)
+        report = check_convergence(sweep(m, DEFAULT_EPS_GRID), 0.0, default_convergence_config(m))
+        assert max(report.gaps) <= 1e-15
+        assert report.tail_shrinking
+        assert report.passed
+
+    @pytest.mark.parametrize(
+        "values, shrinking",
+        [
+            ([0.0, 0.0, 0.0, 0.0], True),
+            ([0.0, 1e-13, 1e-13, 1e-13], True),
+            ([0.1, 0.05, 0.05, 0.05], True),
+            ([0.05, 0.05, 0.05, 0.05], False),  # a flat tail off its target
+            ([0.0, 1e-11, 1e-11, 1e-11], False),
+            ([0.1, 1e-13, 0.0, 1e-13], True),
+            ([0.1, 0.0, 0.05, 0.01], False),
+        ],
+    )
+    def test_tail_shrinking_rule(self, values, shrinking):
+        ev = eval_ia_at(zero_freed(TABLE_SHAPED, 1e-2))
+        evs = [dataclasses.replace(ev, ia_value=v) for v in values]
+        report = check_convergence(evs, 0.0, ConvergenceConfig(0.075, True))
+        assert report.tail_shrinking is shrinking
+        assert report.passed is shrinking
 
     def test_failure_is_reported_not_raised(self):
         evs = sweep(TABLE_SHAPED, [1e-2, 1e-3])

@@ -12,11 +12,16 @@ per-cell route with counts up to 10**6, every input layout, degenerate and
 skewed matrices, and bootstrap-sized ones. No vector summed by a BLAS dot
 has more than 10 000 entries, so the bits do not depend on the BLAS thread
 count.
+
+The oracle's sweep rows are pinned the same way for matrices on its
+per-cell route that fit in one row block (n <= 181), recorded from the
+code before that route worked in blocks.
 """
 
 import numpy as np
 import pytest
 
+from infoagree import oracle
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import ia_epsilon
 
@@ -116,3 +121,69 @@ def test_corpus_is_pinned(matrices):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_every_field_is_bit_identical(matrices, name):
     assert _record(ia_epsilon(matrices[name])) == GOLDEN[name]
+
+
+def sweep_corpus() -> dict[str, AgreementMatrix]:
+    rng = np.random.default_rng(1701)
+    out = {}
+    for n in (40, 181):
+        counts = rng.integers(0, 10**6 + 1, size=(n, n))
+        counts[rng.random((n, n)) < 0.2] = 0
+        out[f"per_cell_{n}"] = AgreementMatrix(counts)
+    out["per_cell_60_positive"] = AgreementMatrix(rng.integers(1, 10**6 + 1, size=(60, 60)))
+    column = np.zeros((100, 100), dtype=np.int64)
+    column[:, 3] = rng.integers(0, 10**6 + 1, size=100) * (rng.random(100) < 0.8)
+    out["per_cell_column_100"] = AgreementMatrix(column)
+    out["per_cell_3"] = AgreementMatrix([[7, 0, 2], [0, 0, 1], [3, 5, 0]])
+    return out
+
+
+SWEEP_FIELDS = ("ia_value", "h_x", "h_y", "h_xy")
+SWEEP_POINTS = (0, 5, 10)  # DEFAULT_EPS_GRID's 1e-2, 1e-142 and 1e-282
+
+GOLDEN_SWEEP: dict[str, tuple] = {
+    'per_cell_40': (
+        ('0x1.c1a38f2c852e0p-4', '0x1.53d626b902f8ep+2', '0x1.53d920d74f649p+2', '0x1.413085fd8234cp+3'),
+        ('0x1.c1a39652ab8d0p-4', '0x1.53d626b8bd37dp+2', '0x1.53d920d6fe83fp+2', '0x1.413085b14eb9cp+3'),
+        ('0x1.c1a39652ab8d0p-4', '0x1.53d626b8bd37dp+2', '0x1.53d920d6fe83fp+2', '0x1.413085b14eb9cp+3'),
+    ),
+    'per_cell_181': (
+        ('0x1.48e7b1c2630c0p-4', '0x1.dfcc63163be42p+2', '0x1.dfca299cd8352p+2', '0x1.cc87dc4a6d437p+3'),
+        ('0x1.48e7b6c5c2100p-4', '0x1.dfcc63162466ap+2', '0x1.dfca299cc3213p+2', '0x1.cc87dbff2db15p+3'),
+        ('0x1.48e7b6c5c2100p-4', '0x1.dfcc63162466ap+2', '0x1.dfca299cc3213p+2', '0x1.cc87dbff2db15p+3'),
+    ),
+    'per_cell_60_positive': (
+        ('0x1.758c39de97b20p-5', '0x1.79c3c532c31a7p+2', '0x1.79c751e4b5976p+2', '0x1.7128a6e09ce6bp+3'),
+        ('0x1.758c39de97b20p-5', '0x1.79c3c532c31a7p+2', '0x1.79c751e4b5976p+2', '0x1.7128a6e09ce6bp+3'),
+        ('0x1.758c39de97b20p-5', '0x1.79c3c532c31a7p+2', '0x1.79c751e4b5976p+2', '0x1.7128a6e09ce6bp+3'),
+    ),
+    'per_cell_column_100': (
+        ('0x1.e662b3ab534c0p-4', '0x1.0e70e95c526f4p-14', '0x1.87c15299f6fbfp+2', '0x1.87c240edb6578p+2'),
+        ('0x1.2fb87fe68bf00p-3', '0x1.283c776438348p-475', '0x1.87c12cc836cd9p+2', '0x1.87c12cc836cd9p+2'),
+        ('0x1.3169684f5791cp-3', '0x1.128c69231db3ep-939', '0x1.87c12cc836cd9p+2', '0x1.87c12cc836cd9p+2'),
+    ),
+    'per_cell_3': (
+        ('0x1.e1b2f3ed5c414p-2', '0x1.6a844d17c659bp+0', '0x1.4131d26d9e519p+0', '0x1.0a4f2b60a64c0p+1'),
+        ('0x1.f238d484133b2p-2', '0x1.6a4f10df691f5p+0', '0x1.406ac4e4a6813p+0', '0x1.076a105654cd3p+1'),
+        ('0x1.f238d484133b2p-2', '0x1.6a4f10df691f5p+0', '0x1.406ac4e4a6813p+0', '0x1.076a105654cd3p+1'),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_matrices():
+    return sweep_corpus()
+
+
+def test_sweep_corpus_is_pinned(sweep_matrices):
+    assert set(sweep_matrices) == set(GOLDEN_SWEEP)
+    for m in sweep_matrices.values():
+        # the per-cell route, in a single row block
+        assert 4 * (m.max_cell + 1) > m.n and m.n**2 <= oracle._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
+def test_per_cell_sweep_rows_are_bit_identical(sweep_matrices, name):
+    evs = oracle.sweep(sweep_matrices[name], oracle.DEFAULT_EPS_GRID)
+    rows = tuple(tuple(float.hex(getattr(evs[i], f)) for f in SWEEP_FIELDS) for i in SWEEP_POINTS)
+    assert rows == GOLDEN_SWEEP[name]
