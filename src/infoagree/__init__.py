@@ -7,6 +7,16 @@ continuity so that matrices containing zeros get a value too. An epsilon
 oracle evaluates the defining limit numerically and double-checks the
 closed form.
 
+Importing the package loads the closed form (measure) and what it needs.
+The distribution API (CategoricalDistribution, RefinedDistribution,
+conditional_entropy, entropy_from_counts, joint, marginal_x, marginal_y,
+mutual_information, refine, shannon_entropy, from infotheory) and the
+epsilon oracle (ConvergenceConfig, ConvergenceReport, EpsilonEvaluation,
+EpsilonMatrix, check_convergence, default_convergence_config, eval_ia_at,
+sweep, zero_freed, from oracle) load on first use of one of their names,
+so a process that only computes values does not pay for compiling them.
+``from infoagree import *`` binds every name in __all__, and so loads both.
+
 The package is pure Python on NumPy; the hot x*log2(x) kernel is one NumPy
 routine. KERNEL_BACKEND names that only backend and is always "python".
 """
@@ -33,31 +43,37 @@ from infoagree.errors import (
     WeightOverflowError,
     ZeroProbabilityError,
 )
-from infoagree.infotheory import (
-    CategoricalDistribution,
-    RefinedDistribution,
-    conditional_entropy,
-    entropy_from_counts,
-    joint,
-    marginal_x,
-    marginal_y,
-    mutual_information,
-    refine,
-    shannon_entropy,
-)
 from infoagree.matrix import AgreementMatrix
 from infoagree.measure import IaCase, IaResult, ia_epsilon, ia_strict
-from infoagree.oracle import (
-    ConvergenceConfig,
-    ConvergenceReport,
-    EpsilonEvaluation,
-    EpsilonMatrix,
-    check_convergence,
-    default_convergence_config,
-    eval_ia_at,
-    sweep,
-    zero_freed,
-)
+
+# Loaded on first use (PEP 562): importing the package, or computing a
+# value with ia_epsilon, loads neither module.
+_ON_FIRST_USE = {
+    "infotheory": (
+        "CategoricalDistribution",
+        "RefinedDistribution",
+        "conditional_entropy",
+        "entropy_from_counts",
+        "joint",
+        "marginal_x",
+        "marginal_y",
+        "mutual_information",
+        "refine",
+        "shannon_entropy",
+    ),
+    "oracle": (
+        "ConvergenceConfig",
+        "ConvergenceReport",
+        "EpsilonEvaluation",
+        "EpsilonMatrix",
+        "check_convergence",
+        "default_convergence_config",
+        "eval_ia_at",
+        "sweep",
+        "zero_freed",
+    ),
+}
+_HOME = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -112,3 +128,23 @@ __all__ = [
     "zero_freed",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    import sys
+
+    home = name if name in _ON_FIRST_USE else _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, takes the path that
+    # python -X importtime reports
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    if home == name:  # the submodule itself, as importing it binds it here
+        return module
+    value = globals()[name] = getattr(module, name)  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | set(_ON_FIRST_USE))

@@ -1,8 +1,12 @@
 """The hot numeric kernels: the x*log2(x) sum over count and probability
-vectors, and the same sum over small integer counts taken from their
-histogram.
+vectors, the same sum over small integer counts taken from their
+histogram, and the entropy of a count vector built on the two.
 
-Both are called thousands of times on vectors of a few dozen entries (a
+The count entropy is the one routine for entropy from counts, called by
+measure.ia_epsilon and infotheory.entropy_from_counts. It lives here so
+that the closed form does not load the distribution layer (infotheory).
+
+Both sums are called thousands of times on vectors of a few dozen entries (a
 bootstrap over small matrices), where NumPy's fixed cost per call outweighs
 the arithmetic. So a caller that already knows how many entries are
 positive says so, which spares the mask and the compress when all are, and
@@ -16,14 +20,23 @@ in slices of _SLICE_CELLS (2**15) cells, whose copies stay cache-sized,
 into one histogram; the counts, and so the result, are the same.
 
 Call sites look the kernel up at call time as ``_kernels.xlog2_sum(...)``
-instead of binding it with ``from infoagree._kernels import xlog2_sum``, so
-a wrapper installed on this module attribute (the benchmark's layer tracer
-does this) sees every call.
+instead of binding it with ``from infoagree._kernels import xlog2_sum``, and
+the count entropy looks it up in this module's globals, so a wrapper
+installed on this module attribute (the benchmark's layer tracer does
+this) sees every call.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from infoagree.errors import InternalInvariantError
+
+ENTROPY_SLACK = 1e-12
+"""How far below 0 a computed entropy may land and still be taken as
+rounding, and so as 0 bits."""
 
 
 def xlog2_sum(values: np.ndarray, positive: int | None = None) -> float:
@@ -93,3 +106,43 @@ def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
     size = hist.size
     table = _LOG2_TABLE if size <= _LOG2_TABLE.shape[1] else _log2_table(size)
     return float(np.add.reduce(hist * table[0, :size] * table[1, :size]))
+
+
+def _count_entropy(
+    counts: np.ndarray, support: int, total: float, top: int | None = None
+) -> float:
+    """Entropy in bits of a count vector, by the identity
+
+        H = log2(c) - (1/c) * sum(w * log2(w)),   c = sum of the counts,
+
+    which infotheory.entropy_from_counts documents. Shared by that function
+    and measure.ia_epsilon, which passes counts straight from a validated
+    matrix. Zero counts are structural and contribute nothing; ``support``
+    is the number of positive counts, ``total`` their sum and ``top``, when
+    known, the largest count. A support of 1 is exactly 0 bits.
+
+    Integer counts whose largest value is below the support take the sum
+    of c * log2(c) from their histogram, which is then shorter than the
+    counts. As max >= mean = total / support, a total of support**2 or more
+    rules that out before the maximum is looked at. The choice depends only
+    on the multiset of positive counts, so equal multisets (a degenerate
+    matrix's cells and its one non-null row or column, or a matrix's cells
+    and its transpose's) give equal bits.
+    """
+    if support == 1:
+        return 0.0
+    if counts.dtype == np.uint64 and total < support * support:
+        if top is None:
+            top = int(np.maximum.reduce(counts, axis=None))
+        if top < support:
+            return _finalize_entropy(math.log2(total) - xlog2_sum_hist(counts, top) / total)
+    return _finalize_entropy(math.log2(total) - xlog2_sum(counts, support) / total)
+
+
+def _finalize_entropy(h: float, slack: float = ENTROPY_SLACK) -> float:
+    """Absorb sub-``slack`` negative rounding; anything worse is a bug."""
+    if h >= 0.0:
+        return h + 0.0  # normalizes -0.0
+    if h >= -slack:
+        return 0.0
+    raise InternalInvariantError(f"entropy computed as {h!r}")

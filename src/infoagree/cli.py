@@ -7,6 +7,9 @@ Verbs:
 
 Exit codes: 0 success, 1 bad input or flags, 2 internal invariant violation,
 3 convergence check failed.
+
+Only sweep loads the epsilon oracle: compute, batch, --help and --version
+never do.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import dataclasses
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,18 +27,38 @@ from infoagree import __version__
 from infoagree.errors import InfoAgreeError, InternalInvariantError
 from infoagree.formats import build_report, dump_json, error_record, load_document
 from infoagree.measure import ia_epsilon
-from infoagree.oracle import (
-    DEFAULT_EPS_GRID,
-    EPS_MIN,
-    check_convergence,
-    default_convergence_config,
-    sweep,
-)
+
+if TYPE_CHECKING:  # bound on first use by _load_oracle
+    from infoagree.oracle import check_convergence, default_convergence_config, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_CONVERGENCE = 3
+
+# oracle.DEFAULT_EPS_GRID's ends and size, written out so that building the
+# parser loads no oracle; tests/test_cli.py checks that they give its grid
+_EPS_FROM, _EPS_TO, _EPS_STEPS = 1e-2, 1e-282, 11
+
+# the oracle's names the sweep verb calls, module attributes of this module
+# once _load_oracle has run
+_ORACLE_NAMES = ("check_convergence", "default_convergence_config", "sweep")
+
+
+def _load_oracle() -> None:
+    """Bind _ORACLE_NAMES here from the oracle, keeping any already bound (a
+    wrapper set on this module's attribute, as the benchmark's tracer sets)."""
+    import infoagree.oracle as oracle  # this form shows in python -X importtime
+
+    for name in _ORACLE_NAMES:
+        globals().setdefault(name, getattr(oracle, name))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        _load_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,19 +135,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--eps-from",
         type=float,
-        default=DEFAULT_EPS_GRID[0],
+        default=_EPS_FROM,
         help="largest epsilon (default %(default)s)",
     )
     p_sweep.add_argument(
         "--eps-to",
         type=float,
-        default=DEFAULT_EPS_GRID[-1],
+        default=_EPS_TO,
         help="smallest epsilon (default %(default)s)",
     )
     p_sweep.add_argument(
         "--eps-steps",
         type=int,
-        default=len(DEFAULT_EPS_GRID),
+        default=_EPS_STEPS,
         help="geometric grid size (default %(default)s); with 1 the grid is "
         "--eps-from alone and --eps-to is not used",
     )
@@ -171,6 +195,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _load_oracle()
     grid = _epsilon_grid(args.eps_from, args.eps_to, args.eps_steps)
     if args.final_tol is not None and not (math.isfinite(args.final_tol) and args.final_tol >= 0.0):
         raise InfoAgreeError(f"--final-tol must be finite and >= 0, got {args.final_tol!r}")
@@ -207,6 +232,8 @@ def _cmd_batch(args) -> int:
 
 
 def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
+    from infoagree.oracle import EPS_MIN
+
     if not (eps_from > 0.0 and eps_to > 0.0):
         raise InfoAgreeError("--eps-from and --eps-to must be positive")
     # np.geomspace would warn and return NaNs for an infinite end point

@@ -19,7 +19,6 @@ from infoagree.errors import (
     DistributionError,
     InconsistentMarginalError,
     InconsistentTotalError,
-    InternalInvariantError,
     NonPositiveWeightError,
     WeightOverflowError,
     ZeroProbabilityError,
@@ -111,7 +110,7 @@ def shannon_entropy(dist: CategoricalDistribution) -> float:
     zero exactly when the support is a single cell. Raises
     ZeroProbabilityError if an unrefined distribution holds a zero."""
     _is_refined(dist)  # raises on an unrefined zero
-    return _finalize_entropy(-_kernels.xlog2_sum(dist.probs.ravel()))  # skips zeros
+    return _kernels._finalize_entropy(-_kernels.xlog2_sum(dist.probs.ravel()))  # skips zeros
 
 
 def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | None = None) -> float:
@@ -156,38 +155,7 @@ def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | No
     # sum(w * log2(w)) is at most c * log2(c); the factor 2 leaves room for rounding
     if math.isinf(2.0 * c * math.log2(c)):
         raise WeightOverflowError(f"weights sum to {c!r}, too large for sum(w * log2(w))")
-    return _count_entropy(w, w.size, c)
-
-
-def _count_entropy(
-    counts: np.ndarray, support: int, total: float, top: int | None = None
-) -> float:
-    """Entropy in bits of a count vector, by entropy_from_counts' identity.
-
-    The one implementation of that identity, shared with measure.ia_epsilon,
-    which passes counts straight from a validated matrix. Zero counts are
-    structural and contribute nothing; ``support`` is the number of positive
-    counts, ``total`` their sum and ``top``, when known, the largest count.
-    A support of 1 is exactly 0 bits.
-
-    Integer counts whose largest value is below the support take the sum
-    of c * log2(c) from their histogram, which is then shorter than the
-    counts. As max >= mean = total / support, a total of support**2 or more
-    rules that out before the maximum is looked at. The choice depends only
-    on the multiset of positive counts, so equal multisets (a degenerate
-    matrix's cells and its one non-null row or column, or a matrix's cells
-    and its transpose's) give equal bits.
-    """
-    if support == 1:
-        return 0.0
-    if counts.dtype == np.uint64 and total < support * support:
-        if top is None:
-            top = int(np.maximum.reduce(counts, axis=None))
-        if top < support:
-            h = math.log2(total) - _kernels.xlog2_sum_hist(counts, top) / total
-            return _finalize_entropy(h)
-    h = math.log2(total) - _kernels.xlog2_sum(counts, support) / total
-    return _finalize_entropy(h)
+    return _kernels._count_entropy(w, w.size, c)
 
 
 def conditional_entropy(
@@ -197,7 +165,7 @@ def conditional_entropy(
     with Z on the 2-d joint's axis 0; ``given`` is Z's marginal, checked against the row sums."""
     p_z = _checked_marginal(joint_dist, 1, given, "z")
     h = -_xlog2_ratio_sum(joint_dist.probs, p_z, None, _is_refined(joint_dist))
-    return _finalize_entropy(h, slack=MARGINAL_TOL)
+    return _kernels._finalize_entropy(h, slack=MARGINAL_TOL)
 
 
 def mutual_information(
@@ -298,12 +266,3 @@ def _xlog2_ratio_sum(
         np.multiply(block, ratio, out=ratio)
         acc += float(np.add.reduce(ratio, axis=None))
     return acc
-
-
-def _finalize_entropy(h: float, slack: float = TOTAL_TOL) -> float:
-    """Absorb sub-``slack`` negative rounding; anything worse is a bug."""
-    if h >= 0.0:
-        return h + 0.0  # normalizes -0.0
-    if h >= -slack:
-        return 0.0
-    raise InternalInvariantError(f"entropy computed as {h!r}")

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from infoagree import infotheory
+from infoagree import _kernels
 from infoagree.errors import ContainsZeroError, InternalInvariantError
 from infoagree.matrix import AgreementMatrix
 
@@ -66,8 +66,11 @@ def ia_strict(matrix: AgreementMatrix) -> float:
     MI is a sum of p * log2(p / (p_x * p_y)) terms, so it cancels no
     order-one entropies near independence. None of it goes through the
     count identity ia_epsilon uses, so the two stay independent
-    computations.
+    computations. infotheory is loaded here, on the first call, so that a
+    caller of ia_epsilon alone never loads the distribution layer.
     """
+    import infoagree.infotheory as infotheory  # this form shows in python -X importtime
+
     if matrix.has_zero_cell():
         raise ContainsZeroError(
             "matrix contains zero cells; plain information agreement is "
@@ -87,7 +90,8 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
     row) rather than by comparing a float entropy with zero; in those cases
     the value is the exact ratio (n - m) / n or (n - l) / n. Otherwise the
     value comes from the refined entropies, which are computed straight
-    from the non-null count sums (infotheory's count-entropy identity).
+    from the non-null count sums (the count-entropy identity of
+    infotheory.entropy_from_counts, as _kernels._count_entropy).
 
     The X-degenerate branch is checked first, and the tie H(X) = H(Y) falls
     to the Y-min branch (strict comparison); both choices change only the
@@ -101,9 +105,9 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
     m = int(np.count_nonzero(row_sums))
     l = int(np.count_nonzero(col_sums))
 
-    h_x = infotheory._count_entropy(col_sums, l, total)
-    h_y = infotheory._count_entropy(row_sums, m, total)
-    h_xy = infotheory._count_entropy(cells, matrix.positive_cells, total, matrix.max_cell)
+    h_x = _kernels._count_entropy(col_sums, l, total)
+    h_y = _kernels._count_entropy(row_sums, m, total)
+    h_xy = _kernels._count_entropy(cells, matrix.positive_cells, total, matrix.max_cell)
 
     if l == 1:
         value = (n - m) / n

@@ -134,7 +134,7 @@ class TestIaStrict:
         def forbidden(*args, **kwargs):
             raise AssertionError("ia_strict must not call this")
 
-        monkeypatch.setattr(infotheory, "_count_entropy", forbidden)
+        monkeypatch.setattr(_kernels, "_count_entropy", forbidden)
         monkeypatch.setattr(_kernels, "xlog2_sum_hist", forbidden)
         assert ia_strict(m) == expected
 
@@ -345,25 +345,25 @@ class TestCountEntropyRoute:
 
     def test_top_below_support_takes_histogram(self, routes):
         counts = np.array([3, 0, 1, 1, 1], dtype=np.uint64)
-        h = infotheory._count_entropy(counts, 4, 6.0)
+        h = _kernels._count_entropy(counts, 4, 6.0)
         assert routes == ["hist"]
         assert h == pytest.approx(h_ref([3 / 6, 1 / 6, 1 / 6, 1 / 6]), abs=1e-15)
 
     def test_top_equal_to_support_takes_generic(self, routes):
         counts = np.array([4, 0, 1, 1, 1], dtype=np.uint64)
-        h = infotheory._count_entropy(counts, 4, 7.0)
+        h = _kernels._count_entropy(counts, 4, 7.0)
         assert routes == ["generic"]
         assert h == pytest.approx(h_ref([4 / 7, 1 / 7, 1 / 7, 1 / 7]), abs=1e-15)
 
     def test_total_of_support_squared_takes_generic_without_the_maximum(self, routes):
         # max >= mean = support here, so the stated top (a false 0) is never read
         counts = np.array([2, 2], dtype=np.uint64)
-        assert infotheory._count_entropy(counts, 2, 4.0, top=0) == 1.0
+        assert _kernels._count_entropy(counts, 2, 4.0, top=0) == 1.0
         assert routes == ["generic"]
 
     def test_a_stated_top_is_not_recomputed(self, routes):
         counts = np.array([5, 1, 1, 1, 1, 1], dtype=np.uint64)  # max 5, support 6
-        infotheory._count_entropy(counts, 6, 10.0, top=6)
+        _kernels._count_entropy(counts, 6, 10.0, top=6)
         assert routes == ["generic"]
 
     def test_ia_epsilon_routes_cells_by_the_cached_max_cell(self, routes):
@@ -378,8 +378,8 @@ class TestCountEntropyRoute:
 
     def test_both_routes_agree_at_the_boundary(self):
         below = np.array([5, 1, 1, 1, 1, 1], dtype=np.uint64)  # top 5, support 6
-        h_hist = infotheory._count_entropy(below, 6, 10.0)
-        h_generic = infotheory._count_entropy(below.astype(np.float64), 6, 10.0)
+        h_hist = _kernels._count_entropy(below, 6, 10.0)
+        h_generic = _kernels._count_entropy(below.astype(np.float64), 6, 10.0)
         assert h_hist == pytest.approx(h_generic, abs=1e-15)
 
     def test_large_matrix_cells_take_histogram_and_sums_generic(self, routes):
