@@ -38,6 +38,10 @@ _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # a JSON string literal, its escapes included
 _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+# a CSV body of at least this many characters goes to the blocked digit
+# parser (_csv_digits); np.loadtxt's smaller fixed cost wins below about
+# 3 KB of counts 0..9, 5.5 KB of counts 0..200 and 10 KB of counts 0..10**6
+_VECTOR_MIN_BYTES = 8192
 
 # the C string escaper behind json.dumps(str)
 _encode_str = json.encoder.encode_basestring_ascii
@@ -64,9 +68,15 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
 
     After the label row, a body made only of ASCII digits, ",", spaces,
     tabs and "\n", with no blank line before its trailing blank lines, that
-    forms a square is converted in one vectorised call; any other body goes
-    through the per-field converter, which reports the first error with its
-    row and column. Both see the same lines, so they give the same document.
+    forms a square goes to an array converter picked by its size:
+    - from 8 KiB (``_VECTOR_MIN_BYTES`` characters) up, the blocked digit
+      parser (``_csv_digits``), which takes blocks of whole lines of about
+      128 KiB and writes their cells straight into one uint64 array; it
+      leaves cells of more than 24 digits to the next converter;
+    - below that, np.loadtxt, whose fixed cost is the smaller there.
+    Any other body goes through the per-field converter, which reports the
+    first error with its row and column. All of them see the same lines, so
+    they give the same document.
     """
     text = _universal_newlines(text)
     if not text or text.isspace():
@@ -80,7 +90,7 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
         labels = tuple(head)
         start = len(text) if brk is None else brk.end()
     # each converter takes its own slice of the body, freed when it returns;
-    # a body kept here would live on after np.loadtxt and raise the peak RSS
+    # a body kept here would live on after the conversion and raise the peak RSS
     counts = _square_counts(text[start:])
     if counts is None:
         lines = text[start:].rstrip().splitlines()  # trailing blank lines go
@@ -88,7 +98,7 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
             raise ParseError("no matrix rows after the label row")
         matrix = AgreementMatrix(_csv_cells(lines, 1 if labels is None else 2))
     else:
-        # np.loadtxt's array is ours alone, so the matrix keeps it uncopied;
+        # the converter's array is ours alone, so the matrix keeps it uncopied;
         # the class is looked up on its module because a layer tracer may
         # replace this module's AgreementMatrix name with a plain function
         matrix = _matrix.AgreementMatrix._from_owned(counts)
@@ -102,7 +112,15 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
 def _square_counts(body: str) -> np.ndarray | None:
     """body as a square uint64 array, when it is only ASCII digits, ",",
     " ", "\t" and "\n", has no empty line before its trailing run of blanks,
-    and np.loadtxt reads it as one; else None."""
+    and its converter reads it as one; else None. A large body goes to the
+    blocked digit parser alone, which takes every body np.loadtxt takes
+    but those with a cell of more than 24 digits."""
+    if len(body) >= _VECTOR_MIN_BYTES:
+        # loaded on the first large body: compiled with this module, the
+        # parser would add about 2 ms to the start of every CLI process
+        import infoagree._csv_digits as _csv_digits
+
+        return _csv_digits.digit_counts(body)
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError:

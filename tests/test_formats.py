@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from types import MappingProxyType
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from csv_reference import reference_parse_csv
-from infoagree import __version__, formats
+from infoagree import __version__, _csv_digits, formats
 from infoagree.errors import (
     AllZeroError,
     InfoAgreeError,
@@ -43,19 +44,25 @@ class TestParseCsv:
         assert doc.format == "csv"
 
     def test_strict_path_keeps_the_parsed_array(self, monkeypatch):
-        parsed = []
-        real_loadtxt = np.loadtxt
+        # a small body goes through np.loadtxt, a large one through the digit parser
+        for owner, converter, n in [(np, "loadtxt", 2), (_csv_digits, "digit_counts", 300)]:
+            parsed = []
+            real_converter = getattr(owner, converter)
 
-        def recording_loadtxt(*args, **kwargs):
-            parsed.append(real_loadtxt(*args, **kwargs))
-            return parsed[-1]
+            def recording_converter(*args, real_converter=real_converter, parsed=parsed, **kwargs):
+                parsed.append(real_converter(*args, **kwargs))
+                return parsed[-1]
 
-        monkeypatch.setattr(formats.np, "loadtxt", recording_loadtxt)
-        doc = parse_csv("a,b\n1,2\n3,4\n")
-        assert len(parsed) == 1
-        assert doc.matrix.counts is parsed[0]
-        assert not doc.matrix.counts.flags.writeable
-        assert (doc.matrix.total, doc.matrix.max_cell) == (10, 4)
+            counts = np.arange(1, n * n + 1).reshape(n, n)
+            text = ",".join(f"c{j}" for j in range(n)) + "\n"
+            text += "".join(",".join(map(str, row)) + "\n" for row in counts.tolist())
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, converter, recording_converter)
+                doc = parse_csv(text)
+            assert len(parsed) == 1
+            assert doc.matrix.counts is parsed[0]
+            assert not doc.matrix.counts.flags.writeable
+            assert (doc.matrix.total, doc.matrix.max_cell) == (n * n * (n * n + 1) // 2, n * n)
 
     def test_label_row(self):
         doc = parse_csv("a,b\n1,2\n3,4")
@@ -134,16 +141,46 @@ class TestParseCsv:
     def test_trailing_blank_lines_take_the_array_path(self, monkeypatch, tail):
         _check_array_path(monkeypatch, "\n", tail=tail)
 
+    def test_large_body_peaks_below_the_result_and_two_texts(self):
+        """A labelled n = 1600 CSV of counts 0..9 parses holding no more than
+        its (n, n) uint64 result and two copies of the text at a time. The
+        np.loadtxt route, which kept the whole body as bytes beside its str
+        slice, peaked 2.4 MiB above that bound."""
+        n = 1600
+        counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
+        row_bytes = np.full((n, 2 * n), ord(","), np.uint8)
+        row_bytes[:, ::2] = counts + ord("0")
+        row_bytes[:, -1] = ord("\n")
+        text = ",".join(f"c{j}" for j in range(n)) + "\n" + row_bytes.tobytes().decode("ascii")
+        tracemalloc.start()
+        try:
+            doc = parse_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(doc.matrix.counts, counts)
+        assert peak <= counts.size * 8 + 2 * len(text)
+
 
 def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail=""):
     """A labelled 300x300 CSV with the given line ends (``label_eol`` after
     the label row), cell separator and text after the last line end parses
-    without the per-field converter."""
+    in the blocked digit parser alone: neither np.loadtxt nor the per-field
+    converter runs."""
 
-    def refuse(lines, first_row):
-        raise AssertionError("well-formed CSV fell back to the per-field converter")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a large well-formed CSV left the blocked digit parser")
+
+    converted = []
+    real_digit_counts = _csv_digits.digit_counts
+
+    def recording_digit_counts(body):
+        converted.append(real_digit_counts(body))
+        return converted[-1]
 
     monkeypatch.setattr(formats, "_csv_cells", refuse)
+    monkeypatch.setattr(formats.np, "loadtxt", refuse)
+    monkeypatch.setattr(_csv_digits, "digit_counts", recording_digit_counts)
     n = 300
     counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
     text = ",".join(f"c{j}" for j in range(n)) + (label_eol or eol)
@@ -151,6 +188,7 @@ def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail=""):
     doc = parse_csv(text)
     assert doc.labels == tuple(f"c{j}" for j in range(n))
     assert np.array_equal(doc.matrix.counts, counts)
+    assert len(converted) == 1 and doc.matrix.counts is converted[0]
 
 
 def _outcome(parse, text):
@@ -182,7 +220,7 @@ def csv_texts(draw):
     cells = st.integers(0, 20) | st.integers(0, 2**40)
     rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=n, max_size=n))
     if draw(st.integers(0, 3)) == 0:
-        rows[-1][-1] = draw(st.sampled_from([U64_MAX, U64_MAX + 1, 10**25]))
+        rows[-1][-1] = draw(st.sampled_from([10**19 - 1, 10**19, U64_MAX, U64_MAX + 1, 10**25]))
     pad = st.sampled_from(["", "", "", " ", "\t", "  ", " \t"])
     lines = [
         ",".join(draw(pad) + draw(st.sampled_from(["", "", "", "0"])) + str(v) + draw(pad) for v in row)
@@ -204,7 +242,12 @@ def csv_texts(draw):
 
 
 class TestCsvFastPathEquivalence:
-    """parse_csv must give what the reference parser gives, or fail the same way."""
+    """parse_csv must give what the reference parser gives, or fail the same way.
+
+    Here the size rule is as set, so these small texts go through
+    np.loadtxt; TestCsvDigitParserEquivalence runs every case through the
+    blocked digit parser.
+    """
 
     @pytest.mark.parametrize(
         "text",
@@ -247,10 +290,43 @@ class TestCsvFastPathEquivalence:
             pytest.param(f" {U64_MAX}\t,1\n1,0", id="spaced-cell-2**64-1"),
             pytest.param(f"{U64_MAX + 1} ,1\n1,0", id="spaced-cell-2**64"),
             pytest.param("5\n \n", id="one-cell-then-a-line-of-spaces"),
+            pytest.param(f"{10**19 - 1},1\n1,0", id="19-digit-cell"),
+            pytest.param(f"{10**19},1\n1,0", id="cell-10**19"),
+            pytest.param(f"{2 * 10**19},0\n0,0", id="20-digit-cell-above-2**64-1"),
+            pytest.param(f"{U64_MAX},0\n0,0", id="cell-2**64-1-alone"),
+            pytest.param(f"0,0\n0,{U64_MAX + 1}", id="last-cell-2**64"),
+            pytest.param(f"{10**20},0\n0,0", id="21-digit-cell"),
+            pytest.param(f"000{U64_MAX},0\n0,0", id="cell-2**64-1-after-leading-zeros"),
+            pytest.param(f"{'0' * 19}1,0\n0,0", id="20-digit-cell-of-leading-zeros"),
+            pytest.param("99999999,100000000\n10000000000000000,1", id="8-9-and-17-digit-cells"),
+            pytest.param(f"{'0' * 5}{U64_MAX},0\n0,0", id="25-digit-cell-of-leading-zeros"),
+            pytest.param("a,b\n10,\n3,4", id="empty-field-in-a-square"),
+            pytest.param("a,b\n1 2, \n3,4", id="two-runs-then-a-blank-field"),
+            pytest.param("a,b\n ,1 2\n3,4", id="a-blank-field-then-two-runs"),
+            pytest.param("1,2,3\n4,5\n6,7,8,9", id="ragged-rows-of-a-square-total"),
+            pytest.param("1,2\n3\n4", id="two-short-rows-for-one"),
+            pytest.param("1,2\n3x4", id="letter-between-digits"),
         ],
     )
     def test_pinned_cases(self, text):
         assert _outcome(parse_csv, text) == _outcome(reference_parse_csv, text)
+
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            pytest.param("1,2\n3,4", [[1, 2], [3, 4]], id="plain"),
+            pytest.param(" 1 ,\t2\n3 , 4 \n \n\t\n", [[1, 2], [3, 4]], id="blanks"),
+            pytest.param(f"{U64_MAX},0\n0,0\n", [[U64_MAX, 0], [0, 0]], id="cell-2**64-1"),
+            pytest.param(
+                f"0{U64_MAX - 10**19},7\n{10**19 - 1},{10**19}",
+                [[U64_MAX - 10**19, 7], [10**19 - 1, 10**19]],
+                id="19-and-20-digit-cells",
+            ),
+        ],
+    )
+    def test_digit_parser_takes_well_formed_bodies(self, body, rows):
+        counts = _csv_digits.digit_counts(body)
+        assert counts.dtype == np.uint64 and counts.tolist() == rows
 
     @given(csv_texts())
     def test_generated_texts(self, text):
@@ -263,6 +339,20 @@ class TestCsvFastPathEquivalence:
     )
     def test_arbitrary_texts(self, text):
         assert _outcome(parse_csv, text) == _outcome(reference_parse_csv, text)
+
+
+class TestCsvDigitParserEquivalence(TestCsvFastPathEquivalence):
+    """The same cases with every body sent to the blocked digit parser: as
+    one block, and in blocks of one line each, so that each block edge is
+    tried."""
+
+    @pytest.fixture(autouse=True, scope="class", params=["one-block", "line-blocks"])
+    def route(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_VECTOR_MIN_BYTES", 0)
+            if request.param == "line-blocks":
+                patch.setattr(_csv_digits, "_BLOCK_BYTES", 1)
+            yield
 
 
 class TestParseJson:

@@ -2,8 +2,9 @@
 
 The epsilon oracle and the distribution layer (infotheory) load only when a
 caller uses them: importing the package and the CLI's compute and batch
-load neither. The import-graph tests run fresh interpreters, so that the
-modules this test process has already imported hide nothing.
+load neither. The blocked CSV digit parser loads with the first CSV body
+large enough for it. The import-graph tests run fresh interpreters, so that
+the modules this test process has already imported hide nothing.
 """
 
 import ast
@@ -21,6 +22,7 @@ import infoagree.cli
 SRC = os.path.dirname(os.path.dirname(infoagree.__file__))
 SPANS = os.path.join(os.path.dirname(SRC), "perfbench", "spans.py")
 ORACLE, INFOTHEORY = "infoagree.oracle", "infoagree.infotheory"
+DIGITS = "infoagree._csv_digits"
 
 
 def _python(args, cwd=None) -> subprocess.CompletedProcess:
@@ -74,6 +76,12 @@ class TestImportGraph:
         loaded = _imported(args, cwd=matrix_dir)
         assert {"infoagree.measure", "infoagree._kernels"} <= loaded
         assert not loaded & {ORACLE, INFOTHEORY}
+
+    def test_only_a_large_csv_body_loads_the_digit_parser(self, matrix_dir):
+        for args in (["compute", "m.csv"], ["batch", "."]):
+            assert DIGITS not in _imported(["-m", "infoagree.cli", *args], cwd=matrix_dir)
+        (matrix_dir / "large.csv").write_text("".join([",".join(["1"] * 100) + "\n"] * 100))
+        assert DIGITS in _imported(["-m", "infoagree.cli", "compute", "large.csv"], cwd=matrix_dir)
 
     @pytest.mark.parametrize("verb", ["--version", "--help"])
     def test_cli_help_and_version_still_load_the_ingest_and_the_closed_form(self, verb):
