@@ -21,45 +21,56 @@ _DIGIT_BYTES = np.array(
 )
 
 
-def digit_counts(body: str) -> np.ndarray | None:
-    """body as a square uint64 array, converted in blocks of whole lines;
-    None when it holds anything but ASCII digits, ",", " ", "\t" and "\n",
-    a field that is not one run of at most 24 digits with blanks around it,
-    other than n lines of n fields, or a cell above 2**64 - 1."""
-    if not body.isascii():
-        return None
-    # each block is encoded on its own: a copy of the whole body in bytes
-    # would outlive the conversion and raise the peak memory
-    end = len(body.rstrip(" \t\n"))  # the trailing blank lines go
-    eol = body.find("\n", 0, end)
-    n = body.count(",", 0, end if eol < 0 else eol) + 1
-    if 2 * n * n > end + 1:  # each cell takes a digit and a separator
+def digit_counts(text: str, start: int = 0) -> np.ndarray | None:
+    """The body text[start:] as a square uint64 array, converted in blocks of
+    whole lines; None when it holds anything but ASCII digits, ",", " ",
+    "\t" and "\n", a field that is not one run of at most 24 digits with
+    blanks around it, other than n lines of n fields, or a cell above
+    2**64 - 1.
+
+    The body is read where it lies: each block is sliced and encoded on its
+    own, which also checks that it is ASCII, so neither a copy of the whole
+    body nor of its bytes outlives a block, and the text before start (a
+    label row) may hold any characters.
+    """
+    end = _blank_run_start(text, start)  # the trailing blank lines go
+    eol = text.find("\n", start, end)
+    n = text.count(",", start, end if eol < 0 else eol) + 1
+    if 2 * n * n > end - start + 1:  # each cell takes a digit and a separator
         return None
     counts = np.empty((n, n), np.uint64)
     cells = counts.reshape(-1)
-    lo = filled = 0
+    lo, filled = start, 0
     while lo < end:
         cut = -1
         if end - lo > _BLOCK_BYTES:  # whole lines of about _BLOCK_BYTES, or one longer line
-            cut = body.rfind("\n", lo, lo + _BLOCK_BYTES)
+            cut = text.rfind("\n", lo, lo + _BLOCK_BYTES)
             if cut < 0:
-                cut = body.find("\n", lo + _BLOCK_BYTES, end)
+                cut = text.find("\n", lo + _BLOCK_BYTES, end)
         size = (end if cut < 0 else cut + 1) - lo
         # the block after 24 bytes that no word reads unmasked, its last line
         # ended as the others are
         buf = np.empty(24 + size + (cut < 0), np.uint8)
-        buf[24 : 24 + size] = np.frombuffer(body[lo : lo + size].encode("ascii"), np.uint8)
+        try:
+            raw = text[lo : lo + size].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        buf[24 : 24 + size] = np.frombuffer(raw, np.uint8)
         buf[-1] = ord("\n")
         lo += size
         block = buf[24:]
         seps = np.flatnonzero(block - 48 > 9)  # every byte but a digit, for now
         chars = block[seps]
         ends_line = chars == ord("\n")
-        kept = np.count_nonzero(ends_line | (chars == ord(",")))
+        # counted once for both checks below: dropping the blanks keeps every line end
+        lines = np.count_nonzero(ends_line)
+        kept = lines + np.count_nonzero(chars == ord(","))
         if kept == len(seps):  # no blanks: each field runs from one separator to the next
             stops = seps
-            width = np.diff(seps, prepend=-1)
-            width -= 1
+            width = np.empty_like(seps)
+            width[0] = seps[0]
+            np.subtract(seps[1:], seps[:-1], out=width[1:])
+            width[1:] -= 1
         else:
             blank = (chars == ord(" ")) | (chars == ord("\t"))
             if kept + np.count_nonzero(blank) != len(seps):
@@ -79,7 +90,7 @@ def digit_counts(body: str) -> np.ndarray | None:
         if (
             fields % n
             or filled + fields > cells.size
-            or np.count_nonzero(ends_line) * n != fields
+            or lines * n != fields
             or not ends_line[n - 1 :: n].all()
         ):
             return None
@@ -109,3 +120,18 @@ def digit_counts(body: str) -> np.ndarray | None:
             else:
                 out += word * 10**16
     return counts if filled == cells.size else None
+
+
+def _blank_run_start(text: str, start: int) -> int:
+    """Where the run of " ", "\t" and "\n" that ends text begins, or start
+    when it begins before start. Slices of doubling length are stripped from
+    the end, so a long run costs no more than one pass, and a body that ends
+    in a line of digits one short slice."""
+    end, size = len(text), 64
+    while end > start:
+        lo = max(start, end - size)
+        kept = len(text[lo:end].rstrip(" \t\n"))
+        if kept:
+            return lo + kept
+        end, size = lo, 2 * size
+    return start

@@ -13,7 +13,6 @@ doubles exactly and keeps report bytes stable across runs.
 from __future__ import annotations
 
 import io
-import json
 import math
 import re
 import sys
@@ -43,8 +42,12 @@ _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 # 3 KB of counts 0..9, 5.5 KB of counts 0..200 and 10 KB of counts 0..10**6
 _VECTOR_MIN_BYTES = 8192
 
-# the C string escaper behind json.dumps(str)
-_encode_str = json.encoder.encode_basestring_ascii
+# the C string escaper behind json.dumps(str), taken from json's accelerator
+# module so that the verbs that read no JSON do not load json (about 3.5 ms)
+try:
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:  # an interpreter without the accelerator
+    from json.encoder import encode_basestring_ascii as _encode_str
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     tabs and "\n", with no blank line before its trailing blank lines, that
     forms a square goes to an array converter picked by its size:
     - from 8 KiB (``_VECTOR_MIN_BYTES`` characters) up, the blocked digit
-      parser (``_csv_digits``), which takes blocks of whole lines of about
-      128 KiB and writes their cells straight into one uint64 array; it
-      leaves cells of more than 24 digits to the next converter;
+      parser (``_csv_digits``), which reads the body where it lies in the
+      text, in blocks of whole lines of about 128 KiB, and writes their
+      cells straight into one uint64 array; it leaves cells of more than
+      24 digits to the next converter;
     - below that, np.loadtxt, whose fixed cost is the smaller there.
     Any other body goes through the per-field converter, which reports the
     first error with its row and column. All of them see the same lines, so
@@ -89,9 +93,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     if not all(map(_is_integer_field, head)):
         labels = tuple(head)
         start = len(text) if brk is None else brk.end()
-    # each converter takes its own slice of the body, freed when it returns;
-    # a body kept here would live on after the conversion and raise the peak RSS
-    counts = _square_counts(text[start:])
+    # a large body is converted where it lies in text, and a small one from a
+    # slice freed when its converter returns: a body kept here would live on
+    # after the conversion and raise the peak RSS
+    counts = _square_counts(text, start)
     if counts is None:
         lines = text[start:].rstrip().splitlines()  # trailing blank lines go
         if not lines:
@@ -109,18 +114,20 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     )
 
 
-def _square_counts(body: str) -> np.ndarray | None:
-    """body as a square uint64 array, when it is only ASCII digits, ",",
-    " ", "\t" and "\n", has no empty line before its trailing run of blanks,
-    and its converter reads it as one; else None. A large body goes to the
-    blocked digit parser alone, which takes every body np.loadtxt takes
-    but those with a cell of more than 24 digits."""
-    if len(body) >= _VECTOR_MIN_BYTES:
+def _square_counts(text: str, start: int) -> np.ndarray | None:
+    """The body text[start:] as a square uint64 array, when it is only ASCII
+    digits, ",", " ", "\t" and "\n", has no empty line before its trailing
+    run of blanks, and its converter reads it as one; else None. A large
+    body goes to the blocked digit parser alone, which reads it in place and
+    takes every body np.loadtxt takes but those with a cell of more than 24
+    digits."""
+    if len(text) - start >= _VECTOR_MIN_BYTES:
         # loaded on the first large body: compiled with this module, the
         # parser would add about 2 ms to the start of every CLI process
         import infoagree._csv_digits as _csv_digits
 
-        return _csv_digits.digit_counts(body)
+        return _csv_digits.digit_counts(text, start)
+    body = text[start:]
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError:
@@ -172,6 +179,8 @@ def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
     per-cell checks; anything else goes through them, which report the first
     bad cell with its row and column.
     """
+    import json  # loaded by the first JSON document alone; see _encode_str
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

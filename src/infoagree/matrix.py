@@ -32,6 +32,12 @@ _max = np.maximum.reduce
 _min = np.minimum.reduce
 _sum = np.add.reduce
 
+# A matrix of at least this many cells (n >= 512) is validated in one pass
+# over row blocks (_blocked_validation); below it, four whole-array
+# reductions cost less than the loop. Set from timings of both at n = 400
+# to 1600.
+_BLOCKED_MIN_CELLS = 2**18
+
 
 class AgreementMatrix:
     """Immutable n-by-n matrix of nonnegative integer classification counts.
@@ -51,29 +57,55 @@ class AgreementMatrix:
     __slots__ = ("counts", "n", "total", "max_cell", "positive_cells", "_row_sums", "_col_sums")
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray):
-        self._adopt(_coerce_counts(rows))
+        if isinstance(rows, np.ndarray):
+            # a subclass such as np.matrix or a masked array is read as its plain
+            # array, whose reductions have the shapes the measure relies on
+            self._adopt(_square_integer_array(np.asarray(rows)), True)
+        else:
+            self._adopt(_coerce_sequences(rows), False)
 
     @classmethod
     def _from_owned(cls, counts: np.ndarray) -> "AgreementMatrix":
         """Validate a uint64 array that no one else holds, and keep it without
         a copy; the public constructor copies its input instead."""
         obj = object.__new__(cls)
-        obj._adopt(_coerce_ndarray(counts, copy=False))
+        obj._adopt(_square_integer_array(counts), False)
         return obj
 
-    def _adopt(self, arr: np.ndarray) -> None:
+    def _adopt(self, arr: np.ndarray, copy: bool) -> None:
+        """Validate a square integer array and keep its counts and statistics.
+        The counts are a C-order uint64 copy of ``arr``, or, with ``copy``
+        false, ``arr`` itself when it is already such an array."""
         n = arr.shape[0]
-        if n < 2:
-            raise DimensionTooSmallError(f"need at least 2 classes, got {n}")
-        max_cell = int(_max(arr, axis=None))
-        # a line sum is a partial sum of the total, so it is exact whenever
-        # the total fits in 64 bits, and _exact_total raises when it does not
-        row_sums = _sum(arr, axis=1)
-        col_sums = _sum(arr, axis=0)
-        if max_cell <= U64_MAX // arr.size:
-            total = int(_sum(row_sums))
+        if arr.size >= _BLOCKED_MIN_CELLS:
+            # loaded on the first large matrix: compiled with this module, the
+            # pass would add about 0.8 ms to every import of the package
+            from infoagree import _blocked_validation
+
+            stats = _blocked_validation.blocked_stats(arr, copy)
+            arr, max_cell, row_sums, col_sums, positive_cells, total = stats
         else:
-            total = _exact_total(arr)
+            # only a signed dtype can hold a negative cell; unsigned input skips the scan
+            if arr.dtype.kind == "i" and arr.size and _min(arr, axis=None) < 0:
+                y, x = np.argwhere(arr < 0)[0]
+                raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
+            # C order whatever the input's: a Fortran or strided copy would make
+            # every later ravel() of the counts copy them again
+            arr = arr.astype(np.uint64, order="C", copy=copy)
+            if n < 2:
+                raise DimensionTooSmallError(f"need at least 2 classes, got {n}")
+            max_cell = int(_max(arr, axis=None))
+            # a line sum is a partial sum of the total, so it is exact whenever
+            # the total fits in 64 bits, and the total is checked below
+            row_sums = _sum(arr, axis=1)
+            col_sums = _sum(arr, axis=0)
+            if max_cell <= U64_MAX // arr.size:
+                total = int(_sum(row_sums))
+            else:
+                total = _split_total(arr)
+            positive_cells = int(np.count_nonzero(arr))
+        if total > U64_MAX:
+            raise CountOverflowError(f"total count {total} exceeds 64-bit range")
         if total == 0:
             raise AllZeroError("agreement matrix must contain at least one positive cell")
         for kept in (arr, row_sums, col_sums):
@@ -82,7 +114,7 @@ class AgreementMatrix:
         self.n = n
         self.total = total
         self.max_cell = max_cell
-        self.positive_cells = int(np.count_nonzero(arr))
+        self.positive_cells = positive_cells
         self._row_sums = row_sums
         self._col_sums = col_sums
 
@@ -122,31 +154,15 @@ class AgreementMatrix:
         return f"<AgreementMatrix n={self.n} total={self.total}>"
 
 
-def _coerce_counts(rows) -> np.ndarray:
-    """Turn caller input into a fresh uint64 (n, n) array, or raise a MatrixError."""
-    if isinstance(rows, np.ndarray):
-        # a subclass such as np.matrix or a masked array is read as its plain
-        # array, whose reductions have the shapes the measure relies on
-        return _coerce_ndarray(np.asarray(rows))
-    return _coerce_sequences(rows)
-
-
-def _coerce_ndarray(arr: np.ndarray, copy: bool = True) -> np.ndarray:
-    """The checks of _coerce_counts on an array; with ``copy`` false, a
-    C-contiguous uint64 array is returned as it is rather than copied."""
+def _square_integer_array(arr: np.ndarray) -> np.ndarray:
+    """arr, once it is a square array of an integer dtype; else a MatrixError."""
     if arr.ndim != 2:
         raise NotSquareError(f"expected a 2-d array, got {arr.ndim}-d")
     if arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"matrix is {arr.shape[0]}x{arr.shape[1]}, not square")
     if not issubclass(arr.dtype.type, np.integer):
         raise NonIntegerCellError(f"cells must be integers, got dtype {arr.dtype}")
-    # only a signed dtype can hold a negative cell; unsigned input skips the scan
-    if arr.dtype.kind == "i" and arr.size and _min(arr, axis=None) < 0:
-        y, x = np.argwhere(arr < 0)[0]
-        raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
-    # C order whatever the input's: a Fortran or strided copy would make every
-    # later ravel() of the counts copy them again
-    return arr.astype(np.uint64, order="C", copy=copy)
+    return arr
 
 
 def _coerce_sequences(rows) -> np.ndarray:
@@ -171,16 +187,13 @@ def _coerce_sequences(rows) -> np.ndarray:
     return np.array(row_list, dtype=np.uint64)
 
 
-def _exact_total(arr: np.ndarray) -> int:
-    """Exact grand total of a uint64 array whose size * max may not fit in 64
-    bits, with an overflow check on the 64-bit budget.
+def _split_total(arr: np.ndarray) -> int:
+    """Exact sum of the cells of a uint64 array whose size * max may not fit
+    in 64 bits, as a Python int.
 
     The high and low 32-bit halves of the cells are summed apart; each of
     those sums is exact for up to 2**32 cells.
     """
     high = int(_sum(arr >> 32, axis=None, dtype=np.uint64))
     low = int(_sum(arr & 0xFFFFFFFF, axis=None, dtype=np.uint64))
-    exact = (high << 32) + low
-    if exact > U64_MAX:
-        raise CountOverflowError(f"total count {exact} exceeds 64-bit range")
-    return exact
+    return (high << 32) + low

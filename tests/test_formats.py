@@ -141,6 +141,12 @@ class TestParseCsv:
     def test_trailing_blank_lines_take_the_array_path(self, monkeypatch, tail):
         _check_array_path(monkeypatch, "\n", tail=tail)
 
+    @pytest.mark.parametrize("label", ["\u00e9t\u00e9", "\u985e", "\U0001f600"])
+    def test_non_ascii_labels_take_the_array_path(self, monkeypatch, label):
+        # the parser reads the body where it lies in the text, and checks only
+        # the body for ASCII: labels of 1-, 2- and 4-byte characters
+        _check_array_path(monkeypatch, "\n", label=label)
+
     def test_large_body_peaks_below_the_result_and_two_texts(self):
         """A labelled n = 1600 CSV of counts 0..9 parses holding no more than
         its (n, n) uint64 result and two copies of the text at a time. The
@@ -161,12 +167,34 @@ class TestParseCsv:
         assert np.array_equal(doc.matrix.counts, counts)
         assert peak <= counts.size * 8 + 2 * len(text)
 
+    def test_large_body_is_converted_where_it_lies(self):
+        """The same CSV with a 4-byte character in each label parses holding
+        its result and less than one more copy of the text: the digit parser
+        reads the body in place, block by block, and the matrix validates
+        the result without a copy. A slice of the body, which parse_csv
+        passed before, is one more copy of the digits and breaks the bound."""
+        n = 1600
+        counts = np.random.default_rng(1).integers(0, 10, size=(n, n))
+        row_bytes = np.full((n, 2 * n), ord(","), np.uint8)
+        row_bytes[:, ::2] = counts + ord("0")
+        row_bytes[:, -1] = ord("\n")
+        labels = ",".join(f"\U0001f600{j}" for j in range(n))
+        text = labels + "\n" + row_bytes.tobytes().decode("ascii")
+        tracemalloc.start()
+        try:
+            doc = parse_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(doc.matrix.counts, counts)
+        assert peak <= counts.size * 8 + len(text)
 
-def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail=""):
+
+def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail="", label="c"):
     """A labelled 300x300 CSV with the given line ends (``label_eol`` after
-    the label row), cell separator and text after the last line end parses
-    in the blocked digit parser alone: neither np.loadtxt nor the per-field
-    converter runs."""
+    the label row), cell separator, text after the last line end and
+    ``label`` before each label's number parses in the blocked digit parser
+    alone: neither np.loadtxt nor the per-field converter runs."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a large well-formed CSV left the blocked digit parser")
@@ -174,8 +202,8 @@ def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail=""):
     converted = []
     real_digit_counts = _csv_digits.digit_counts
 
-    def recording_digit_counts(body):
-        converted.append(real_digit_counts(body))
+    def recording_digit_counts(*args):
+        converted.append(real_digit_counts(*args))
         return converted[-1]
 
     monkeypatch.setattr(formats, "_csv_cells", refuse)
@@ -183,10 +211,10 @@ def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail=""):
     monkeypatch.setattr(_csv_digits, "digit_counts", recording_digit_counts)
     n = 300
     counts = np.random.default_rng(0).integers(0, 10, size=(n, n))
-    text = ",".join(f"c{j}" for j in range(n)) + (label_eol or eol)
+    text = ",".join(f"{label}{j}" for j in range(n)) + (label_eol or eol)
     text += "".join(sep.join(map(str, row)) + eol for row in counts.tolist()) + tail
     doc = parse_csv(text)
-    assert doc.labels == tuple(f"c{j}" for j in range(n))
+    assert doc.labels == tuple(f"{label}{j}" for j in range(n))
     assert np.array_equal(doc.matrix.counts, counts)
     assert len(converted) == 1 and doc.matrix.counts is converted[0]
 
@@ -327,6 +355,29 @@ class TestCsvFastPathEquivalence:
     def test_digit_parser_takes_well_formed_bodies(self, body, rows):
         counts = _csv_digits.digit_counts(body)
         assert counts.dtype == np.uint64 and counts.tolist() == rows
+
+    @pytest.mark.parametrize(
+        "head, body, rows",
+        [
+            pytest.param("", "1,2\n3,4", [[1, 2], [3, 4]], id="no-head"),
+            pytest.param("x,y\n", "1,2\n3,4\n", [[1, 2], [3, 4]], id="ascii-head"),
+            pytest.param("\u00e9,\U0001f600\n", " 1 ,2\n3,\t4\n", [[1, 2], [3, 4]], id="non-ascii-head"),
+            pytest.param("\u985e,b\n", "1,2\n3,4" + " \n\t" * 300, [[1, 2], [3, 4]], id="long-blank-tail"),
+            pytest.param("a,b\n", "1,2\n3,4" + "\n" * 64, [[1, 2], [3, 4]], id="tail-of-one-slice"),
+            pytest.param("a,b\n", "1,2\n3,4" + "\n" * 65, [[1, 2], [3, 4]], id="tail-over-one-slice"),
+            pytest.param("a,b\n", "1,2\n3,\u0664", None, id="non-ascii-digit"),
+            pytest.param("a,b\n", "1,2\n3,4\u2028", None, id="non-ascii-line-break"),
+            pytest.param("a,b\n", " \n\t" * 40, None, id="blank-body"),
+            pytest.param("a,b\n", "", None, id="empty-body"),
+            pytest.param("a,b\n", "1,2\n3,4\n5,6", None, id="not-square"),
+        ],
+    )
+    def test_digit_parser_reads_the_body_after_start(self, head, body, rows):
+        # from an offset into the text as from the body alone; the text
+        # before the offset is never read
+        for text, start in [(head + body, len(head)), (body, 0)]:
+            counts = _csv_digits.digit_counts(text, start)
+            assert (None if counts is None else counts.tolist()) == rows
 
     @given(csv_texts())
     def test_generated_texts(self, text):

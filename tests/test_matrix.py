@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import agreement_matrices
+from infoagree import _blocked_validation, _kernels, matrix
 from infoagree.errors import (
     AllZeroError,
     CountOverflowError,
     DimensionTooSmallError,
+    MatrixError,
     NegativeCellError,
     NonIntegerCellError,
     NotSquareError,
@@ -292,6 +296,124 @@ class TestConstructionStatistics:
         assert t.row_sums().tolist() == m.col_sums().tolist()
         assert t.col_sums().tolist() == m.row_sums().tolist()
         assert (t.positive_cells, t.max_cell, t.total) == (m.positive_cells, m.max_cell, m.total)
+
+
+@st.composite
+def validation_inputs(draw):
+    """(cells, layout): int64 cells with negatives, or uint64 cells up to
+    2**64 - 1, whose totals may overflow, to be laid out by _layouts."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        dtype = np.int64
+        values = st.integers(0, 40) | st.integers(-3, -1) | st.integers(2**62, 2**63 - 1)
+    else:
+        dtype = np.uint64
+        values = st.integers(0, 40) | st.integers(0, U64_MAX) | st.sampled_from([2**63, U64_MAX])
+    cells = draw(st.lists(values, min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=dtype).reshape(n, n), draw(st.sampled_from(_LAYOUTS))
+
+
+_LAYOUTS = ["C", "F", "strided", "transposed"]
+_MAKERS = {
+    "ndarray": AgreementMatrix,
+    "owned": AgreementMatrix._from_owned,
+    "list": lambda arr: AgreementMatrix(arr.tolist()),
+}
+
+
+def _validated(make, arr):
+    """What a constructor makes of arr: its counts and statistics, or the
+    class and message of the MatrixError it raises."""
+    try:
+        m = make(arr)
+    except MatrixError as exc:
+        return type(exc), str(exc)
+    assert m.counts.dtype == np.uint64 and m.counts.flags.c_contiguous
+    assert not m.counts.flags.writeable
+    return (
+        m.counts.tolist(),
+        m.max_cell,
+        m.total,
+        m.row_sums().tolist(),
+        m.col_sums().tolist(),
+        m.positive_cells,
+    )
+
+
+class TestBlockedValidation:
+    """From _BLOCKED_MIN_CELLS cells up, the copy, the sign check and the
+    four reductions run in one pass over row blocks. Its counts, statistics
+    and errors are those of the whole-array reductions."""
+
+    @pytest.mark.parametrize("make", _MAKERS.values(), ids=_MAKERS)
+    @given(drawn=validation_inputs())
+    def test_equals_the_whole_array_pass_in_one_row_blocks(self, make, drawn):
+        cells, layout = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix, "_BLOCKED_MIN_CELLS", 10**12)
+            want = _validated(make, _layouts(cells)[layout])
+            # 4x4 and larger (16 cells) take the pass, one row per block
+            patch.setattr(matrix, "_BLOCKED_MIN_CELLS", 16)
+            patch.setattr(_kernels, "_SLICE_CELLS", 1)
+            got = _validated(make, _layouts(cells)[layout])
+        assert got == want
+        if not isinstance(want[0], type):
+            exact = [[int(c) for c in row] for row in cells.tolist()]
+            assert want[1:] == (
+                max(map(max, exact)),
+                sum(map(sum, exact)),
+                [sum(row) for row in exact],
+                [sum(col) for col in zip(*exact)],
+                sum(c > 0 for row in exact for c in row),
+            )
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_first_negative_cell_in_row_major_order(self, layout):
+        n = 600  # 360 000 cells: blocks of 54 rows
+        cells = np.ones((n, n), np.int64)
+        cells[300, 2] = cells[5, 591] = -7
+        cells[5, 590] = -3
+        with pytest.raises(NegativeCellError) as exc:
+            AgreementMatrix(_layouts(cells)[layout])
+        assert str(exc.value) == "cell [5][590] is negative: -3"
+
+    @pytest.mark.parametrize("n, blocked", [(400, False), (511, False), (512, True), (800, True)])
+    def test_the_pass_takes_matrices_from_2_18_cells(self, monkeypatch, n, blocked):
+        calls = []
+        real = _blocked_validation.blocked_stats
+
+        def recording(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(_blocked_validation, "blocked_stats", recording)
+        cells = np.random.default_rng(n).integers(0, 10, size=(n, n)).astype(np.uint64)
+        m = AgreementMatrix(cells)
+        assert calls == ([(n, n)] if blocked else [])
+        assert not np.shares_memory(m.counts, cells)
+        owned = AgreementMatrix._from_owned(cells)
+        assert owned.counts is cells
+        assert (owned.total, owned.max_cell) == (m.total, m.max_cell) == (int(cells.sum()), 9)
+        fortran = AgreementMatrix._from_owned(np.asfortranarray(cells))
+        assert fortran.counts.flags.c_contiguous and fortran.counts.tolist() == cells.tolist()
+
+    def test_split_total_peaks_below_one_block(self):
+        """Cells near 2**63 take the total from their 32-bit halves, summed
+        per block: the peak is one block's temporary and the line sums, not
+        two (n, n) arrays of halves."""
+        n = 800
+        below = np.random.default_rng(800).integers(0, 1000, size=(n, n)).astype(np.uint64)
+        cells = np.uint64(2**63) - below
+        exact = n * n * 2**63 - int(below.sum())
+        tracemalloc.start()
+        try:
+            with pytest.raises(CountOverflowError) as exc:
+                AgreementMatrix._from_owned(cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"total count {exact} exceeds 64-bit range"
+        assert peak < _kernels._SLICE_CELLS * 8 + 64 * n
 
 
 class TestTranspose:

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import infoagree.oracle
-from decimal_reference import reference_eps_evaluation
+from decimal_reference import reference_eps_evaluations
 from helpers import (
     agreement_matrices,
     count_grids,
@@ -115,18 +115,19 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-def _assert_matches_reference(m, ev, tol):
-    """ev's value and entropies against the decimal evaluation of the
-    literal epsilon matrix, within ``tol``."""
-    ref = reference_eps_evaluation(m.counts.tolist(), ev.epsilon)
-    for got, want in [
-        (ev.ia_value, ref.value),
-        (ev.h_x, ref.h_x),
-        (ev.h_y, ref.h_y),
-        (ev.h_xy, ref.h_xy),
-    ]:
-        assert abs(got - float(want)) <= tol
-    return ref
+def _assert_matches_reference(m, evs, tol):
+    """Each evaluation's value and entropies against the decimal evaluation
+    of its literal epsilon matrix, within ``tol``; returns the references."""
+    refs = reference_eps_evaluations(m.counts.tolist(), [ev.epsilon for ev in evs])
+    for ev, ref in zip(evs, refs, strict=True):
+        for got, want in [
+            (ev.ia_value, ref.value),
+            (ev.h_x, ref.h_x),
+            (ev.h_y, ref.h_y),
+            (ev.h_xy, ref.h_xy),
+        ]:
+            assert abs(got - float(want)) <= tol
+    return refs
 
 
 def _outcome(run):
@@ -203,20 +204,19 @@ class TestEvalIaAt:
     def test_epsilons_at_the_float_floor_match_the_reference(self, rows, eps):
         # the smaller marginal entropy is down to about 1e-291 here
         m = AgreementMatrix(rows)
-        _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+        _assert_matches_reference(m, [eval_ia_at(zero_freed(m, eps))], 1e-12)
 
     @given(small_top_matrices(8, 16, share=4), st.sampled_from([1e-2, 1e-9, EPS_MIN]))
     def test_histogram_route_matches_the_reference(self, m, eps):
         assert 4 * (m.max_cell + 1) <= m.n  # the histogram route's rule
-        _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+        _assert_matches_reference(m, [eval_ia_at(zero_freed(m, eps))], 1e-12)
 
     @pytest.mark.parametrize("n", [182, 400])
     def test_per_cell_route_in_row_blocks_matches_the_reference(self, n):
         # 182 rows are a block of 180 and one of 2; 400 are four of 81 and one of 76
         m = AgreementMatrix(np.random.default_rng(n).choice([0, 1, 7, 1000, 10**6], (n, n)))
         assert 4 * (m.max_cell + 1) > n
-        for ev in sweep(m, (1e-2, 1e-9)):
-            _assert_matches_reference(m, ev, 1e-12)
+        _assert_matches_reference(m, sweep(m, (1e-2, 1e-9)), 1e-12)
 
     @pytest.mark.parametrize(
         "top, route",
@@ -241,7 +241,7 @@ class TestEvalIaAt:
                 lambda *args, name=name, real=real: taken.append(name) or real(*args),
             )
         for eps in (1e-2, 1e-9, EPS_MIN):
-            _assert_matches_reference(m, eval_ia_at(zero_freed(m, eps)), 1e-12)
+            _assert_matches_reference(m, [eval_ia_at(zero_freed(m, eps))], 1e-12)
         assert taken == [route] * 3
 
     @given(st.one_of(small_top_matrices(2, 12, share=1), small_top_matrices(8, 40, share=4)))
@@ -338,8 +338,7 @@ class TestSweep:
         assert _outcome(lambda: sweep(m, grid)) == expected
         assert _outcome(lambda: sweep(m, grid)) == expected  # no state left behind
         if isinstance(expected, list):
-            for ev in expected:
-                _assert_matches_reference(m, ev, 1e-12)
+            _assert_matches_reference(m, expected, 1e-12)
 
     @pytest.mark.parametrize(
         "rows",
@@ -355,8 +354,8 @@ class TestSweep:
         # marginal entropies down to 1e-31 and totals up to 2**64 - 1: each
         # entropy is accurate relative to its own size, however small
         m = AgreementMatrix(rows)
-        for ev in sweep(m, (1e-2, 1e-6, 1e-12, 1e-14)):
-            ref = _assert_matches_reference(m, ev, 1e-15)
+        evs = sweep(m, (1e-2, 1e-6, 1e-12, 1e-14))
+        for ev, ref in zip(evs, _assert_matches_reference(m, evs, 1e-15)):
             h_lo = float(min(ref.h_x, ref.h_y))
             assert min(ev.h_x, ev.h_y) == pytest.approx(h_lo, rel=1e-13, abs=0.0)
 

@@ -3,7 +3,8 @@
 The epsilon oracle and the distribution layer (infotheory) load only when a
 caller uses them: importing the package and the CLI's compute and batch
 load neither. The blocked CSV digit parser loads with the first CSV body
-large enough for it. The import-graph tests run fresh interpreters, so that
+large enough for it, the one-pass validation with the first matrix large
+enough for it, and json with the first JSON document. The import-graph tests run fresh interpreters, so that
 the modules this test process has already imported hide nothing.
 """
 
@@ -23,6 +24,7 @@ SRC = os.path.dirname(os.path.dirname(infoagree.__file__))
 SPANS = os.path.join(os.path.dirname(SRC), "perfbench", "spans.py")
 ORACLE, INFOTHEORY = "infoagree.oracle", "infoagree.infotheory"
 DIGITS = "infoagree._csv_digits"
+BLOCKED = "infoagree._blocked_validation"
 
 
 def _python(args, cwd=None) -> subprocess.CompletedProcess:
@@ -35,8 +37,8 @@ def _python(args, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def _imported(args, cwd=None) -> set[str]:
-    """The package's modules in sys.modules after a fresh interpreter runs
+def _imported(args, cwd=None, package="infoagree") -> set[str]:
+    """The modules of ``package`` in sys.modules after a fresh interpreter runs
     ``args``: ["-c", code], or ["-m", module, *argv] run as python -m would."""
     if args[0] == "-m":
         code = (
@@ -46,7 +48,10 @@ def _imported(args, cwd=None) -> set[str]:
         )
     else:
         code = args[1]
-    code += "\nimport sys; print(sorted(name for name in sys.modules if name.startswith('infoagree')))"
+    code += (
+        "\nimport sys; print(sorted(name for name in sys.modules"
+        f" if name.partition('.')[0] == {package!r}))"
+    )
     done = _python(["-c", code], cwd)
     assert done.returncode == 0, done.stderr
     return set(ast.literal_eval(done.stdout.splitlines()[-1]))
@@ -82,6 +87,22 @@ class TestImportGraph:
             assert DIGITS not in _imported(["-m", "infoagree.cli", *args], cwd=matrix_dir)
         (matrix_dir / "large.csv").write_text("".join([",".join(["1"] * 100) + "\n"] * 100))
         assert DIGITS in _imported(["-m", "infoagree.cli", "compute", "large.csv"], cwd=matrix_dir)
+
+    @pytest.mark.parametrize(
+        "argv", [["--version"], ["compute", "m.csv"], ["batch", "."]], ids=["version", "compute", "batch"]
+    )
+    def test_csv_verbs_do_not_load_json(self, matrix_dir, argv):
+        # reports are written by the package's own emitter; json loads with
+        # the first JSON document
+        assert _imported(["-m", "infoagree.cli", *argv], cwd=matrix_dir, package="json") == set()
+        (matrix_dir / "m.json").write_text('{"matrix": [[4, 0], [1, 3]]}')
+        loaded = _imported(["-m", "infoagree.cli", "compute", "m.json"], cwd=matrix_dir, package="json")
+        assert "json" in loaded
+
+    @pytest.mark.parametrize("n, loaded", [(511, False), (512, True)])
+    def test_only_a_large_matrix_loads_the_blocked_validation(self, n, loaded):
+        code = f"import numpy as np, infoagree as ia; ia.AgreementMatrix(np.ones(({n}, {n}), np.int64))"
+        assert (BLOCKED in _imported(["-c", code])) is loaded
 
     @pytest.mark.parametrize("verb", ["--version", "--help"])
     def test_cli_help_and_version_still_load_the_ingest_and_the_closed_form(self, verb):
