@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from infoagree.formats import _blank_run_start
+
 # a block: whole lines of about this many bytes, so that the temporaries
 # stay small beside the (n, n) result
 _BLOCK_BYTES = 1 << 17
@@ -121,17 +123,3 @@ def digit_counts(text: str, start: int = 0) -> np.ndarray | None:
                 out += word * 10**16
     return counts if filled == cells.size else None
 
-
-def _blank_run_start(text: str, start: int) -> int:
-    """Where the run of " ", "\t" and "\n" that ends text begins, or start
-    when it begins before start. Slices of doubling length are stripped from
-    the end, so a long run costs no more than one pass, and a body that ends
-    in a line of digits one short slice."""
-    end, size = len(text), 64
-    while end > start:
-        lo = max(start, end - size)
-        kept = len(text[lo:end].rstrip(" \t\n"))
-        if kept:
-            return lo + kept
-        end, size = lo, 2 * size
-    return start

@@ -249,7 +249,12 @@ def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
         return np.array([eps_from])
     if not eps_from > eps_to:
         raise InfoAgreeError("--eps-from must exceed --eps-to")
-    grid = np.geomspace(eps_from, eps_to, steps)
+    try:
+        grid = np.geomspace(eps_from, eps_to, steps)
+    except (MemoryError, ValueError):  # ValueError: an array NumPy cannot size
+        raise InfoAgreeError(
+            f"--eps-steps {steps} is too many: its grid cannot be allocated"
+        ) from None
     # close end points leave too little room between doubles for many steps
     if not (grid[1:] < grid[:-1]).all():
         raise InfoAgreeError(

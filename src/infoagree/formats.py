@@ -69,9 +69,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     name exactly n classes. Lines break where str.splitlines() breaks them, and trailing
     blank lines are ignored. Separator "," is fixed; no locale handling.
 
-    After the label row, a body made only of ASCII digits, ",", spaces,
-    tabs and "\n", with no blank line before its trailing blank lines, that
-    forms a square goes to an array converter picked by its size:
+    Line ends are made "\n" here alone. The body after the label row, up to
+    its trailing run of spaces, tabs and "\n" (``_blank_run_start``), when
+    made only of ASCII digits, ",", spaces, tabs and "\n", with no empty
+    line, and forming a square, goes to an array converter by its size:
     - from 8 KiB (``_VECTOR_MIN_BYTES`` characters) up, the blocked digit
       parser (``_csv_digits``), which reads the body where it lies in the
       text, in blocks of whole lines of about 128 KiB, and writes their
@@ -115,10 +116,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
 
 
 def _square_counts(text: str, start: int) -> np.ndarray | None:
-    """The body text[start:] as a square uint64 array, when it is only ASCII
-    digits, ",", " ", "\t" and "\n", has no empty line before its trailing
-    run of blanks, and its converter reads it as one; else None. A large
-    body goes to the blocked digit parser alone, which reads it in place and
+    """The body text[start:_blank_run_start(text, start)] as a square uint64
+    array, when it is only ASCII digits, ",", " ", "\t" and "\n", holds no
+    empty line, and its converter reads it as one; else None. A large body
+    goes to the blocked digit parser alone, which reads it in place and
     takes every body np.loadtxt takes but those with a cell of more than 24
     digits."""
     if len(text) - start >= _VECTOR_MIN_BYTES:
@@ -127,32 +128,40 @@ def _square_counts(text: str, start: int) -> np.ndarray | None:
         import infoagree._csv_digits as _csv_digits
 
         return _csv_digits.digit_counts(text, start)
-    body = text[start:]
+    body = text[start : _blank_run_start(text, start)]
+    # np.loadtxt would skip an empty line, which the per-field converter reports;
+    # a line of spaces or tabs it rejects by itself
+    if not body or body.startswith("\n") or "\n\n" in body:
+        return None
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError:
         return None
     if raw.translate(None, b"0123456789, \t\n"):
         return None
-    # the trailing run of blanks, which the per-field converter drops, starts at end
-    end = len(raw)
-    while end and raw[end - 1] in b" \t\n":
-        end -= 1
-    # np.loadtxt would skip an empty line, which the per-field converter reports;
-    # a line of spaces or tabs it rejects by itself
-    if not end or raw.startswith(b"\n") or raw.find(b"\n\n", 0, end) >= 0:
-        return None
-    # so it must stop before a line of spaces or tabs in the trailing run
-    tail = raw[end:].lstrip(b" \t")  # the run after the last line's own blanks
-    rows = raw.count(b"\n", 0, end) + 1 if tail.strip(b"\n") else None
     try:
         counts = np.loadtxt(
-            io.BytesIO(raw), delimiter=",", dtype=np.uint64, comments=None, ndmin=2,
-            max_rows=rows,
+            io.BytesIO(raw), delimiter=",", dtype=np.uint64, comments=None, ndmin=2
         )
     except ValueError:  # an empty or spaced-out field, ragged rows, or a cell above 2**64 - 1
         return None
     return counts if counts.shape[0] == counts.shape[1] else None
+
+
+def _blank_run_start(text: str, start: int) -> int:
+    """Where the run of " ", "\t" and "\n" that ends text begins, or start
+    when it begins before start: the end of a CSV body for both array
+    converters. Slices of doubling length are stripped from the end, so a
+    long run costs no more than one pass, and a body that ends in a line of
+    digits one short slice."""
+    end, size = len(text), 64
+    while end > start:
+        lo = max(start, end - size)
+        kept = len(text[lo:end].rstrip(" \t\n"))
+        if kept:
+            return lo + kept
+        end, size = lo, 2 * size
+    return start
 
 
 def _csv_cells(lines: list[str], first_row: int) -> list[list[int]]:
@@ -277,10 +286,10 @@ def load_document(path: str, format: str | None = None) -> MatrixDocument:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from None
     del data  # the file's bytes need not outlive the parse's own copies
-    text = _universal_newlines(text)
     if format == CSV_FORMAT:
-        return parse_csv(text, source_path=path)
-    return parse_json(text, source_path=path)
+        return parse_csv(text, source_path=path)  # which makes its line ends "\n"
+    # JSON error positions count lines as text mode reads them
+    return parse_json(_universal_newlines(text), source_path=path)
 
 
 def _universal_newlines(text: str) -> str:

@@ -226,7 +226,7 @@ class _Lines:
     others: S0 - r, exact before its one rounding.
     zeros: the zero cells z_y of each line; other_zeros: z - z_y.
     All vectors are float64. A plain class: a dataclass would cost the
-    package's import about 1 ms.
+    oracle's import about 1 ms.
     """
 
     def __init__(self, own: float, sums: np.ndarray, total: np.uint64, zeros: np.ndarray):

@@ -69,7 +69,23 @@ def test_load_document_reaches_parse_csv_through_the_module(monkeypatch, tmp_pat
     path = tmp_path / "m.csv"
     path.write_text("a,b\r\n1,2\r\n3,4\r\n")
     doc = formats.load_document(str(path))
-    assert calls == ["a,b\n1,2\n3,4\n"]
+    assert calls == ["a,b\r\n1,2\r\n3,4\r\n"]  # parse_csv makes its own line ends
+    assert doc.labels == ("a", "b")
+
+
+def test_load_document_reaches_parse_json_through_the_module(monkeypatch, tmp_path):
+    calls = []
+    real_parse_json = formats.parse_json
+
+    def recording(text, *args, **kwargs):
+        calls.append(text)
+        return real_parse_json(text, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "parse_json", recording)
+    path = tmp_path / "m.json"
+    path.write_text('{"labels": ["a", "b"],\r\n"matrix": [[1, 2], [3, 4]]}\r\n')
+    doc = formats.load_document(str(path))
+    assert calls == ['{"labels": ["a", "b"],\n"matrix": [[1, 2], [3, 4]]}\n']
     assert doc.labels == ("a", "b")
 
 

@@ -167,6 +167,15 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {flag} must be at least 4.1045368012983762e-289, got 1e-300\n"
 
+    # each grid would take at least 8 EiB, so NumPy refuses it before touching memory
+    @pytest.mark.parametrize("steps", [10**18, 4 * 10**18, 10**30])
+    def test_grid_too_large_to_allocate_exits_1(self, capsys, tmp_path, steps):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(capsys, "sweep", "--eps-steps", str(steps), missing)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --eps-steps {steps} is too many: its grid cannot be allocated\n"
+
     def test_one_step_grid_is_eps_from_alone(self):
         grid = infoagree.cli._epsilon_grid(1e-3, 1.0, 1)
         assert grid.tolist() == [1e-3]

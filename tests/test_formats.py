@@ -141,6 +141,26 @@ class TestParseCsv:
     def test_trailing_blank_lines_take_the_array_path(self, monkeypatch, tail):
         _check_array_path(monkeypatch, "\n", tail=tail)
 
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n \n\t\n", "a,b\n1,2\n3,4 \t\n \n"])
+    def test_small_body_before_lines_of_blanks_takes_np_loadtxt(self, monkeypatch, text):
+        # the body ends where its trailing blank run starts, so np.loadtxt
+        # never sees the lines of blanks, which it would reject
+        def refuse(*args, **kwargs):
+            raise AssertionError("a small well-formed CSV left np.loadtxt")
+
+        converted = []
+        real_loadtxt = np.loadtxt
+
+        def recording_loadtxt(*args, **kwargs):
+            converted.append(real_loadtxt(*args, **kwargs))
+            return converted[-1]
+
+        monkeypatch.setattr(formats, "_csv_cells", refuse)
+        monkeypatch.setattr(formats.np, "loadtxt", recording_loadtxt)
+        doc = parse_csv(text)
+        assert doc.matrix == AgreementMatrix([[1, 2], [3, 4]])
+        assert len(converted) == 1 and converted[0].tolist() == [[1, 2], [3, 4]]
+
     @pytest.mark.parametrize("label", ["\u00e9t\u00e9", "\u985e", "\U0001f600"])
     def test_non_ascii_labels_take_the_array_path(self, monkeypatch, label):
         # the parser reads the body where it lies in the text, and checks only
@@ -604,6 +624,23 @@ class TestLoadDocument:
         with pytest.raises(ParseError) as exc:
             load_document(str(path))
         assert str(exc.value) == "invalid JSON: Expecting value: line 3 column 5 (char 24)"
+
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_line_ends_are_normalised_once(self, monkeypatch, tmp_path, ext):
+        # parse_csv normalises its own text, so load_document leaves CSV text as read
+        calls = []
+        real_universal_newlines = formats._universal_newlines
+
+        def recording(text):
+            calls.append(text)
+            return real_universal_newlines(text)
+
+        monkeypatch.setattr(formats, "_universal_newlines", recording)
+        path = tmp_path / f"m.{ext}"
+        body = "1,2\r\n3,4\r\n" if ext == "csv" else '{"matrix":\r\n[[1, 2], [3, 4]]}'
+        path.write_bytes(body.encode())
+        assert load_document(str(path)).matrix == AgreementMatrix([[1, 2], [3, 4]])
+        assert calls == [body]
 
     @pytest.mark.parametrize("ext", ["csv", "json"])
     @given(
