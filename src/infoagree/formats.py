@@ -16,8 +16,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +32,12 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
+# a line of comma-separated _INTEGER_FIELDs, with around each field the
+# whitespace str.strip() strips (re's \s is str.isspace() for str patterns)
+_INTEGER_ROW = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*")
 # the line boundaries of str.splitlines()
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_UTF8_BOM = b"\xef\xbb\xbf"
 # a JSON string literal, its escapes included
 _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 # a CSV body of at least this many characters goes to the blocked digit
@@ -50,9 +53,10 @@ except ImportError:  # an interpreter without the accelerator
     from json.encoder import encode_basestring_ascii as _encode_str
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
-    """A parsed matrix plus where it came from and optional class labels."""
+class MatrixDocument(NamedTuple):
+    """A parsed matrix plus where it came from and optional class labels.
+
+    A named tuple, as measure.IaResult is: no dataclasses import."""
 
     source_path: str
     format: str
@@ -88,11 +92,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
         raise ParseError("empty CSV input")
     brk = _LINE_BREAK.search(text)
     first_line = text if brk is None else text[: brk.start()]
-    head = [field.strip() for field in first_line.split(",")]
     labels: tuple[str, ...] | None = None
     start = 0  # where the body begins
-    if not all(map(_is_integer_field, head)):
-        labels = tuple(head)
+    if not _is_integer_row(first_line):
+        labels = tuple(field.strip() for field in first_line.split(","))
         start = len(text) if brk is None else brk.end()
     # a large body is converted where it lies in text, and a small one from a
     # slice freed when its converter returns: a body kept here would live on
@@ -281,10 +284,12 @@ def load_document(path: str, format: str | None = None) -> MatrixDocument:
         raise ParseError(f"unknown format {format!r}")
     with open(path, "rb", buffering=0) as handle:  # unbuffered: one read of the whole file
         data = handle.read()
+    # one leading byte order mark, as Excel's "CSV UTF-8" writes, is not text
+    skip = len(_UTF8_BOM) if data.startswith(_UTF8_BOM) else 0
     try:
-        text = data.decode("utf-8")
+        text = str(memoryview(data)[skip:], "utf-8") if skip else data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text: byte {skip + exc.start} ({exc.reason})") from None
     del data  # the file's bytes need not outlive the parse's own copies
     if format == CSV_FORMAT:
         return parse_csv(text, source_path=path)  # which makes its line ends "\n"
@@ -297,6 +302,20 @@ def _universal_newlines(text: str) -> str:
     if "\r" in text:  # the test spares "\n"-only text two replace scans
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def _is_integer_row(line: str) -> bool:
+    """Whether every comma-separated field of line is an integer field
+    (_is_integer_field), which makes a CSV's first line a row of counts.
+
+    One match decides a line of at most sys.get_int_max_str_digits()
+    characters, none of whose fields int() can refuse; any other line, and
+    one the pattern does not match, is tested field by field.
+    """
+    limit = sys.get_int_max_str_digits()
+    if (not limit or len(line) <= limit) and _INTEGER_ROW.fullmatch(line) is not None:
+        return True
+    return all(map(_is_integer_field, [field.strip() for field in line.split(",")]))
 
 
 def _is_integer_field(field: str) -> bool:

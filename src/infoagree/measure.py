@@ -11,8 +11,8 @@ oracle.py evaluates numerically everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +34,16 @@ class IaCase(Enum):
     REGULAR_Y_MIN = "regular_y_min"  # refined H(Y) <= refined H(X)
 
 
-@dataclass(frozen=True)
-class IaResult:
+class IaResult(NamedTuple):
     """Value plus the diagnostics needed to audit which branch fired.
 
     m and l are the non-null row and column counts; h_x, h_y, h_xy are the
     refined entropies in bits (always computed, even when a degenerate
     branch decided the value without them).
+
+    A named tuple, so building one costs about a fifth of a frozen
+    dataclass and its module needs no dataclasses import; like any tuple it
+    also unpacks, indexes and equals a plain tuple of the same fields.
     """
 
     value: float
@@ -122,7 +125,7 @@ def ia_epsilon(matrix: AgreementMatrix) -> IaResult:
         value = _absorb_rounding(1.0 + (h_x - h_xy) / h_y)
         case = IaCase.REGULAR_Y_MIN
 
-    return IaResult(value=value, case=case, n=n, m=m, l=l, h_x=h_x, h_y=h_y, h_xy=h_xy)
+    return IaResult(value, case, n, m, l, h_x, h_y, h_xy)
 
 
 def _absorb_rounding(value: float) -> float:

@@ -96,6 +96,15 @@ class TestCompute:
         assert out == ""
         assert err == "error: not UTF-8 text: byte 0 (invalid start byte)\n"
 
+    def test_utf8_bom_is_not_part_of_the_text(self, capsys, tmp_path):
+        # as Excel's "CSV UTF-8" writes it; it used to make "\ufeff5" a label
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("5,1\n2,5\n")
+        marked.write_bytes(b"\xef\xbb\xbf5,1\n2,5\n")
+        code, out, err = run(capsys, "compute", str(marked))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "compute", str(plain))[1].replace("plain.csv", "marked.csv")
+
     def test_deterministic_output(self, capsys, table_csv):
         _, first, _ = run(capsys, "compute", table_csv)
         _, second, _ = run(capsys, "compute", table_csv)
@@ -471,3 +480,298 @@ class TestArgumentHandling:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert "infoagree" in out
+
+
+# --- the process entry point ---------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(infoagree.cli.__file__))
+
+# runs the CLI as python -m would, after an atexit callback and an object whose
+# __del__ only the interpreter's teardown calls; {setup} may stand in for a
+# bug in the measure, hook the interpreter or start a thread, and {after}
+# runs when the CLI ends through sys.exit
+_PROBE = """\
+import atexit, os, runpy, sys
+class _Teardown:
+    def __del__(self, write=os.write):
+        write(2, b"[teardown]\\n")
+_probe = _Teardown()
+atexit.register(os.write, 2, b"[atexit]\\n")
+{setup}
+sys.argv = ["infoagree.cli", *{argv!r}]
+try:
+    runpy.run_module("infoagree.cli", run_name="__main__", alter_sys=True)
+finally:
+    {after}
+"""
+
+# the stand-ins of _FORCED, set before the CLI module runs
+_FORCE = {
+    case: (
+        "import infoagree.errors, infoagree.measure\n"
+        "def _broken(matrix):\n"
+        f"    raise {name}('forced for the test')\n"
+        "infoagree.measure.ia_epsilon = _broken"
+    )
+    for case, name in [("invariant", "infoagree.errors.InternalInvariantError"), ("unexpected", "RuntimeError")]
+}
+
+
+def _env(buffered: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name in ("PYTHONUNBUFFERED", "PYTHONINSPECT"):
+        env.pop(name, None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _python(args, *, buffered=True, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env=_env(buffered), capture_output=True, text=True, timeout=120, **kwargs
+    )
+
+
+def _probe(argv, setup="", after="pass", flags=(), **kwargs) -> subprocess.CompletedProcess:
+    code = _PROBE.format(setup=setup, after=after, argv=list(argv))
+    return _python([*flags, "-c", code], **kwargs)
+
+
+def _route(err: str) -> str:
+    """Which exit a probe took, from its stderr: the atexit callback must
+    have run either way, and only sys.exit tears the interpreter down."""
+    assert "[atexit]\n" in err
+    return "sys.exit" if "[teardown]\n" in err else "os._exit"
+
+
+def _stripped(err: str) -> str:
+    return err.replace("[atexit]\n", "").replace("[teardown]\n", "")
+
+
+class TestRunMatchesMain:
+    """python -m infoagree.cli ends through cli.run(), which must leave every
+    byte and exit code of main() as it was."""
+
+    @pytest.mark.parametrize(
+        "mode, verb, case, code, err",
+        [
+            (mode, *row)
+            for mode in ("stdout", "--output", "--plain")
+            for row in _EXIT_CODE_CONTRACT
+            if not (mode == "--plain" and row[0] == "batch")  # batch has no --plain
+        ],
+    )
+    def test_same_bytes_and_exit_code(self, capsys, tmp_path, monkeypatch, mode, verb, case, code, err):
+        (tmp_path / "m.csv").write_text("0,0\n0,0\n" if case == "bad input" else "4,0\n6,0\n")
+        out = tmp_path / "out.txt"
+        flags = ["--final-tol", "1e-9"] if case == "failed verdict" else []
+        if mode == "--output":
+            flags += ["--output", str(out)]
+        elif mode == "--plain":
+            flags.append("--plain")
+        argv = [verb, *flags, str(tmp_path if verb == "batch" else tmp_path / "m.csv")]
+
+        def written():  # the --output file's bytes, if there is one, removed
+            data = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return data
+
+        done = _probe(argv, setup=_FORCE.get(case, ""))
+        assert _route(done.stderr) == "os._exit"
+        by_process = written()
+        if case in _FORCED:
+            def broken(matrix):
+                raise _FORCED[case]("forced for the test")
+
+            monkeypatch.setattr(infoagree.cli, "ia_epsilon", broken)
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        assert (done.returncode, done.stdout, _stripped(done.stderr)) == expected
+        assert by_process == written()
+        # a verb that fails before its report writes no --output file; batch always writes one
+        reported = case in ("ok", "failed verdict") or verb == "batch"
+        assert (by_process is not None) == (mode == "--output" and reported)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["compute", "m.csv"], ["batch", "."], ["--version"], ["--help"], []])
+    def test_python_dash_m(self, capsys, tmp_path, monkeypatch, argv, buffered):
+        (tmp_path / "m.csv").write_text("a,b\n4,0\n6,1\n")
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
+        monkeypatch.chdir(tmp_path)
+        done = _python(["-m", "infoagree.cli", *argv], buffered=buffered)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+    def test_console_script_is_run(self):
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as handle:
+            assert 'infoagree = "infoagree.cli:run"' in handle.read().splitlines()
+
+    def test_console_script_wrapper(self, capsys, tmp_path):
+        # what an installed script runs: sys.exit(run()), where run() never returns
+        (tmp_path / "m.csv").write_text("0,0\n0,0\n")
+        code = "import sys; from infoagree.cli import run; sys.argv[1:] = ['compute', 'm.csv']; sys.exit(run())"
+        done = _python(["-c", code], cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {_ALL_ZERO}\n")
+
+
+class TestRunExit:
+    """When run() skips the interpreter's teardown, and when it does not."""
+
+    @pytest.fixture
+    def m_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("4,1\n2,5\n")
+        return str(path)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_skips_the_teardown_after_the_atexit_callbacks(self, m_csv, buffered):
+        # a callback registered before the CLI runs, and what it prints is flushed
+        setup = "atexit.register(print, 'printed by a callback')"
+        done = _probe(["compute", "--plain", m_csv], setup=setup, buffered=buffered)
+        assert _route(done.stderr) == "os._exit"
+        assert done.stdout == "0.19973045111530818\nprinted by a callback\n"
+        assert done.returncode == 0
+
+    def test_a_callback_that_raises_is_reported_and_the_exit_code_kept(self, m_csv):
+        done = _probe(["compute", "--plain", m_csv], setup="atexit.register(int, 'x')")
+        assert _route(done.stderr) == "os._exit"
+        assert "Exception ignored in atexit callback" in done.stderr
+        assert "ValueError: invalid literal" in done.stderr
+        assert done.returncode == 0
+
+    # a thread that lives until the CLI has ended
+    _THREAD = "import threading; release = threading.Event(); threading.Thread(target=release.wait{}).start()"
+
+    @pytest.mark.parametrize(
+        "setup, flags",
+        [
+            ("sys.settrace(lambda *args: None)", ()),
+            ("sys.setprofile(lambda *args: None)", ()),
+            (_THREAD.format(""), ()),
+            (_THREAD.format(", daemon=True"), ()),
+            ("os.environ['PYTHONINSPECT'] = '1'", ()),
+            ("", ("-i",)),
+        ],
+        ids=["trace", "profile", "thread", "daemon-thread", "PYTHONINSPECT", "dash-i"],
+    )
+    def test_falls_back_to_sys_exit(self, m_csv, setup, flags):
+        after = "release.set()" if "release" in setup else "pass"
+        done = _probe(
+            ["compute", "--plain", m_csv], setup=setup, after=after, flags=flags, stdin=subprocess.DEVNULL
+        )
+        assert _route(done.stderr) == "sys.exit"
+        assert done.stdout.startswith("0.19973045111530818\n")
+        if not flags and "INSPECT" not in setup:
+            assert done.returncode == 0
+            assert _stripped(done.stderr) == ""
+
+    def test_cprofile_still_prints_its_profile(self, m_csv):
+        done = _python(["-m", "cProfile", "-m", "infoagree.cli", "compute", "--plain", m_csv])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("0.19973045111530818\n")
+        assert "function calls" in done.stdout
+
+    def _many_files(self, directory, count=400):
+        for i in range(count):
+            (directory / f"f{i:03d}.csv").write_text("4,1\n2,5\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, read", [(["batch", "."], 1), (["compute", "m.csv"], 0)], ids=["batch-one-byte", "compute-closed"]
+    )
+    def test_a_closed_pipe_ends_as_under_sys_exit_main(self, tmp_path, buffered, argv, read):
+        # batch writes about 90 KB, more than the pipe and the buffer hold, and
+        # its reader stops after one byte; compute's reader is gone before it
+        # starts, so with buffered stdout the flush at exit is what fails
+        self._many_files(tmp_path)
+        (tmp_path / "m.csv").write_text("4,1\n2,5\n")
+        old = "import sys; from infoagree.cli import main; sys.argv[1:] = {!r}; sys.exit(main())"
+        outcomes = []
+        for args in (["-m", "infoagree.cli", *argv], ["-c", old.format(argv)]):
+            r, w = os.pipe()
+            if not read:
+                os.close(r)
+            proc = subprocess.Popen(
+                [sys.executable, *args], cwd=tmp_path, env=_env(buffered), stdout=w, stderr=subprocess.PIPE
+            )
+            os.close(w)
+            if read:
+                assert os.read(r, read)
+                os.close(r)
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            outcomes.append((proc.wait(timeout=120), err))
+        assert outcomes[0] == outcomes[1]
+        if buffered and argv[0] == "batch":  # the write fails inside main()
+            assert outcomes[0] == (1, "error: [Errno 32] Broken pipe\n")
+        elif buffered:  # the flush fails after main(), and the interpreter reports it
+            assert outcomes[0][0] == 120 and "BrokenPipeError" in outcomes[0][1]
+
+
+class TestRunFallbacksInProcess:
+    """What the subprocess tests cannot arrange: a flush that fails, and an
+    interpreter without the private functions run() relies on. Each sends
+    run() to sys.exit without running the atexit callbacks itself (the
+    interpreter's teardown runs them then)."""
+
+    @pytest.fixture(autouse=True)
+    def entry(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(infoagree.cli, "main", lambda: 3)
+        monkeypatch.setattr(infoagree.cli.atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+
+        def fake_exit(code):
+            calls.append(("os._exit", code))
+            raise SystemExit("os._exit")
+
+        monkeypatch.setattr(infoagree.cli.os, "_exit", fake_exit)
+        return calls
+
+    def _run(self) -> object:
+        with pytest.raises(SystemExit) as exc:
+            infoagree.cli.run()
+        return exc.value.code
+
+    @staticmethod
+    def _unobserved(monkeypatch):
+        """No hook and no other thread, even under a coverage tool or a
+        test runner that has them."""
+        monkeypatch.setattr(sys, "gettrace", lambda: None)
+        monkeypatch.setattr(sys, "getprofile", lambda: None)
+        if hasattr(sys, "monitoring"):
+            monkeypatch.setattr(sys.monitoring, "get_tool", lambda tool: None)
+        monkeypatch.setattr(infoagree.cli._thread, "_count", lambda: 0, raising=False)
+
+    def test_the_fast_route_without_any_condition(self, monkeypatch, entry):
+        self._unobserved(monkeypatch)
+        assert self._run() == "os._exit"
+        assert entry == ["atexit", ("os._exit", 3)]
+
+    class _Unflushable:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_a_failed_flush(self, monkeypatch, entry, stream):
+        monkeypatch.setattr(sys, stream, self._Unflushable())
+        assert self._run() == 3
+        assert entry == []
+
+    def test_a_failed_flush_after_the_callbacks(self, monkeypatch, entry):
+        self._unobserved(monkeypatch)
+        unflushable = self._Unflushable()
+
+        def callbacks():
+            entry.append("atexit")
+            monkeypatch.setattr(sys, "stdout", unflushable)
+
+        monkeypatch.setattr(infoagree.cli.atexit, "_run_exitfuncs", callbacks)
+        assert self._run() == 3
+        assert entry == ["atexit"]
+
+    @pytest.mark.parametrize("module, name", [("atexit", "_run_exitfuncs"), ("_thread", "_count")])
+    def test_a_missing_private_function(self, monkeypatch, entry, module, name):
+        monkeypatch.delattr(getattr(infoagree.cli, module), name, raising=False)
+        assert (self._run(), entry) == (3, [])

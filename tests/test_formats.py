@@ -289,6 +289,85 @@ def csv_texts(draw):
     return text
 
 
+def _integer_fields_loop(line):
+    """The per-field test of a first line: every stripped field an integer."""
+    return all(map(formats._is_integer_field, [field.strip() for field in line.split(",")]))
+
+
+class TestIntegerRow:
+    """A first line of counts is recognised by one match of _INTEGER_ROW where
+    int() can refuse none of its fields; the per-field loop decides the rest.
+    Both must give the same answer on every line."""
+
+    # fields of optional spaces, a sign and digits, now and then with a piece
+    # that int() or str.strip() reads differently from the grammar
+    _SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x1f", "\xa0", "\u2009", "\u3000", "\u200b", "\ufeff"])
+    _FIELD = st.tuples(
+        st.lists(_SPACE, max_size=2).map("".join),
+        st.sampled_from(["", "", "+", "-", "+-"]),
+        st.sampled_from(["0", "7", "12", "905", "", "1_0", "\uff15", "\u0663", "a", "1.0", "1e3"]),
+        st.lists(_SPACE, max_size=2).map("".join),
+    ).map("".join)
+
+    @given(st.lists(_FIELD, min_size=1, max_size=6).map(",".join))
+    def test_one_match_decides_as_the_loop_does(self, line):
+        assert (formats._INTEGER_ROW.fullmatch(line) is not None) == _integer_fields_loop(line)
+        assert formats._is_integer_row(line) == _integer_fields_loop(line)
+
+    @pytest.mark.parametrize(
+        "line, counts",
+        [
+            ("1,2", True),
+            (" 1 ,\t2\t", True),
+            ("\u30001,\xa02\u2009", True),  # Unicode whitespace, which str.strip() strips
+            ("+1,-2", True),  # signs parse; a negative count fails later, as a count
+            ("\u200b1,2", False),  # not whitespace to str.strip()
+            ("1_0,2", False),  # int() would take it
+            ("\uff15,1", False),  # a fullwidth 5, which int() would take
+            ("1,,2", False),
+            ("1,", False),
+            ("", False),
+            ("a,b", False),
+            ("9" * 4300, True),  # as many digits as int() reads by default
+            ("9" * 4301, False),  # one more, which int() refuses
+            ("1, " + "9" * 4300, True),  # a line longer than the limit goes field by field
+        ],
+        ids=["plain", "spaces", "unicode-space", "signs", "zero-width", "underscore", "fullwidth",
+             "empty-field", "trailing-comma", "empty", "labels", "4300-digits", "4301-digits", "long-line"],
+    )
+    def test_pinned(self, line, counts):
+        assert sys.get_int_max_str_digits() == 4300
+        assert formats._is_integer_row(line) is counts
+        assert _integer_fields_loop(line) is counts
+        if len(line) <= 4300:  # the pattern alone decides such a line
+            assert (formats._INTEGER_ROW.fullmatch(line) is not None) is counts
+
+    @pytest.mark.parametrize("limit, digits, counts", [(640, 640, True), (640, 641, False), (0, 5000, True)])
+    def test_follows_the_int_digit_limit(self, limit, digits, counts):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            line = "9" * digits + ",1"
+            assert formats._is_integer_row(line) is counts
+            assert _integer_fields_loop(line) is counts
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_a_line_of_counts_takes_the_match(self, monkeypatch):
+        def refused(field):
+            raise AssertionError(f"per-field test of {field!r}")
+
+        monkeypatch.setattr(formats, "_is_integer_field", refused)
+        assert parse_csv(" 1, 2\n3 ,4\n").labels is None
+        with pytest.raises(AssertionError, match="per-field"):
+            parse_csv("a,b\n1,2\n3,4\n")
+
+    def test_a_long_label_field_is_a_label(self):
+        label = "9" * 4301
+        doc = parse_csv(f"{label},b\n1,2\n3,4\n")
+        assert doc.labels == (label, "b")
+
+
 class TestCsvFastPathEquivalence:
     """parse_csv must give what the reference parser gives, or fail the same way.
 
@@ -642,6 +721,39 @@ class TestLoadDocument:
         assert load_document(str(path)).matrix == AgreementMatrix([[1, 2], [3, 4]])
         assert calls == [body]
 
+    @pytest.mark.parametrize(
+        "name, body, labels",
+        [
+            ("m.csv", "5,1\n2,5\n", None),
+            ("m.csv", "a,b\n5,1\n2,5\n", ("a", "b")),
+            ("m.json", '{"matrix": [[5, 1], [2, 5]]}', None),
+        ],
+        ids=["csv", "labelled-csv", "json"],
+    )
+    def test_a_leading_utf8_bom_is_dropped(self, tmp_path, name, body, labels):
+        # as Excel's "CSV UTF-8" writes it
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        doc = load_document(str(path))
+        assert doc.labels == labels
+        assert doc.matrix == AgreementMatrix([[5, 1], [2, 5]])
+
+    def test_only_one_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + b"a,b\n5,1\n2,5\n")
+        assert load_document(str(path)).labels == ("\ufeffa", "b")
+
+    def test_a_bom_within_the_text_is_kept(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"labels": ["\xef\xbb\xbfa", "b"], "matrix": [[5, 1], [2, 5]]}')
+        assert load_document(str(path)).labels == ("\ufeffa", "b")
+
+    def test_undecodable_byte_after_a_bom_counts_from_the_file_start(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,\xff\n")
+        with pytest.raises(ParseError, match=r"^not UTF-8 text: byte 5 \(invalid start byte\)$"):
+            load_document(str(path))
+
     @pytest.mark.parametrize("ext", ["csv", "json"])
     @given(
         data=st.lists(
@@ -653,16 +765,20 @@ class TestLoadDocument:
         ).map(b"".join)
     )
     def test_reads_as_text_mode_does(self, ext, data):
+        # "utf-8-sig" is UTF-8 that drops one leading byte order mark; its
+        # error positions count from after the mark, and load_document's from
+        # the start of the file
         parse = parse_csv if ext == "csv" else parse_json
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "m." + ext)
             with open(path, "wb") as handle:
                 handle.write(data)
             try:
-                with open(path, encoding="utf-8") as handle:
+                with open(path, encoding="utf-8-sig") as handle:
                     text = handle.read()
             except UnicodeDecodeError as exc:
-                message = f"not UTF-8 text: byte {exc.start} ({exc.reason})"
+                skip = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+                message = f"not UTF-8 text: byte {skip + exc.start} ({exc.reason})"
                 expected = (ParseError, message, None, None)
             else:
                 expected = _outcome(lambda t, _: parse(t, path), text)
@@ -734,6 +850,23 @@ class TestDumpJson:
 
     def test_key_order_is_preserved(self):
         assert dump_json({"z": 1, "a": 2}, indent=None) == '{"z": 1, "a": 2}'
+
+
+class TestMatrixDocumentRecord:
+    """A named tuple, with the fields, construction, equality, hash and repr
+    the frozen dataclass had."""
+
+    def test_record(self):
+        matrix = AgreementMatrix([[2, 1], [0, 1]])
+        doc = MatrixDocument("p.csv", "csv", ("a", "b"), matrix)
+        assert MatrixDocument._fields == ("source_path", "format", "labels", "matrix")
+        assert doc == MatrixDocument(source_path="p.csv", format="csv", labels=("a", "b"), matrix=matrix)
+        with pytest.raises(TypeError):  # as before: AgreementMatrix has no hash
+            hash(doc)
+        assert doc != MatrixDocument("q.csv", "csv", ("a", "b"), matrix)
+        assert repr(doc) == f"MatrixDocument(source_path='p.csv', format='csv', labels=('a', 'b'), matrix={matrix!r})"
+        with pytest.raises(AttributeError):
+            doc.labels = None
 
 
 class TestReport:

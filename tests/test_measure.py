@@ -14,7 +14,7 @@ from helpers import agreement_matrices, count_grids, positive_matrices, small_co
 from infoagree import _kernels, infotheory, measure
 from infoagree.errors import ContainsZeroError, InternalInvariantError
 from infoagree.matrix import AgreementMatrix
-from infoagree.measure import IaCase, ia_epsilon, ia_strict
+from infoagree.measure import IaCase, IaResult, ia_epsilon, ia_strict
 
 
 def h_ref(probs):
@@ -86,6 +86,27 @@ def _assert_strict_matches_reference(rows):
     h_lo = float(min(ref.h_x, ref.h_y))
     bound = max(1e-12, VALUE_SLACK * U * math.log2(m.total) / h_lo)
     assert abs(ia_strict(m) - float(ref.value)) <= bound
+
+
+class TestIaResultRecord:
+    """A named tuple, with the fields, construction, equality, hash and repr
+    the frozen dataclass had."""
+
+    FIELDS = ("value", "case", "n", "m", "l", "h_x", "h_y", "h_xy")
+
+    def test_record(self):
+        result = ia_epsilon(AgreementMatrix([[4, 0], [1, 3]]))
+        assert IaResult._fields == self.FIELDS
+        values = [getattr(result, name) for name in self.FIELDS]
+        assert IaResult(*values) == result == IaResult(**dict(zip(self.FIELDS, values)))
+        assert hash(IaResult(*values)) == hash(result)
+        assert result != IaResult(*values[:-1], values[-1] + 1.0)
+        assert repr(result) == (
+            f"IaResult(value={result.value!r}, case=<IaCase.REGULAR_X_MIN: 'regular_x_min'>, n=2, m=2, l=2, "
+            f"h_x={result.h_x!r}, h_y={result.h_y!r}, h_xy={result.h_xy!r})"
+        )
+        with pytest.raises(AttributeError):
+            result.value = 0.0
 
 
 class TestIaStrict:

@@ -39,19 +39,23 @@ def _python(args, cwd=None) -> subprocess.CompletedProcess:
 
 def _imported(args, cwd=None, package="infoagree") -> set[str]:
     """The modules of ``package`` in sys.modules after a fresh interpreter runs
-    ``args``: ["-c", code], or ["-m", module, *argv] run as python -m would."""
+    ``args``: ["-c", code], or ["-m", module, *argv] run as python -m would.
+    The list is printed by an atexit callback registered first, because the
+    CLI's entry point ends the process after the callbacks without
+    returning to the code that ran it."""
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sorted(name for name in sys.modules"
+        f" if name.partition('.')[0] == {package!r})))\n"
+    )
     if args[0] == "-m":
-        code = (
-            f"import runpy, sys; sys.argv = {args[1:]!r}\n"
+        code += (
+            f"import runpy; sys.argv = {args[1:]!r}\n"
             "try: runpy.run_module(sys.argv[0], run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc: assert not exc.code, exc.code"
         )
     else:
-        code = args[1]
-    code += (
-        "\nimport sys; print(sorted(name for name in sys.modules"
-        f" if name.partition('.')[0] == {package!r}))"
-    )
+        code += args[1]
     done = _python(["-c", code], cwd)
     assert done.returncode == 0, done.stderr
     return set(ast.literal_eval(done.stdout.splitlines()[-1]))
@@ -98,6 +102,22 @@ class TestImportGraph:
         (matrix_dir / "m.json").write_text('{"matrix": [[4, 0], [1, 3]]}')
         loaded = _imported(["-m", "infoagree.cli", "compute", "m.json"], cwd=matrix_dir, package="json")
         assert "json" in loaded
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-c", "import infoagree"],
+            ["-m", "infoagree.cli", "--version"],
+            ["-m", "infoagree.cli", "compute", "m.csv"],
+            ["-m", "infoagree.cli", "batch", "."],
+        ],
+        ids=["import", "version", "compute", "batch"],
+    )
+    def test_no_dataclasses_outside_sweep(self, matrix_dir, args):
+        # IaResult and MatrixDocument are named tuples; NumPy does not load it
+        assert _imported(args, cwd=matrix_dir, package="dataclasses") == set()
+        loaded = _imported(["-m", "infoagree.cli", "sweep", "m.csv"], cwd=matrix_dir, package="dataclasses")
+        assert loaded == {"dataclasses"}
 
     @pytest.mark.parametrize("n, loaded", [(511, False), (512, True)])
     def test_only_a_large_matrix_loads_the_blocked_validation(self, n, loaded):
