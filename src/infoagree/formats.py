@@ -32,9 +32,6 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
-# a line of comma-separated _INTEGER_FIELDs, with around each field the
-# whitespace str.strip() strips (re's \s is str.isspace() for str patterns)
-_INTEGER_ROW = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*")
 # the line boundaries of str.splitlines()
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _UTF8_BOM = b"\xef\xbb\xbf"
@@ -92,10 +89,11 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
         raise ParseError("empty CSV input")
     brk = _LINE_BREAK.search(text)
     first_line = text if brk is None else text[: brk.start()]
+    head = [field.strip() for field in first_line.split(",")]
     labels: tuple[str, ...] | None = None
     start = 0  # where the body begins
-    if not _is_integer_row(first_line):
-        labels = tuple(field.strip() for field in first_line.split(","))
+    if not all(map(_is_integer_field, head)):
+        labels = tuple(head)
         start = len(text) if brk is None else brk.end()
     # a large body is converted where it lies in text, and a small one from a
     # slice freed when its converter returns: a body kept here would live on
@@ -302,20 +300,6 @@ def _universal_newlines(text: str) -> str:
     if "\r" in text:  # the test spares "\n"-only text two replace scans
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def _is_integer_row(line: str) -> bool:
-    """Whether every comma-separated field of line is an integer field
-    (_is_integer_field), which makes a CSV's first line a row of counts.
-
-    One match decides a line of at most sys.get_int_max_str_digits()
-    characters, none of whose fields int() can refuse; any other line, and
-    one the pattern does not match, is tested field by field.
-    """
-    limit = sys.get_int_max_str_digits()
-    if (not limit or len(line) <= limit) and _INTEGER_ROW.fullmatch(line) is not None:
-        return True
-    return all(map(_is_integer_field, [field.strip() for field in line.split(",")]))
 
 
 def _is_integer_field(field: str) -> bool:

@@ -118,6 +118,11 @@ class TestParseCsv:
             parse_csv("1,2\n3,\uff15")  # FULLWIDTH DIGIT FIVE
         assert (exc.value.row, exc.value.col) == (2, 2)
 
+    def test_a_field_of_more_digits_than_int_reads_is_a_label(self):
+        label = "9" * (sys.get_int_max_str_digits() + 1)
+        doc = parse_csv(f"{label},b\n1,2\n3,4\n")
+        assert doc.labels == (label, "b")
+
     def test_large_labelled_csv_takes_the_array_path(self, monkeypatch):
         _check_array_path(monkeypatch, "\n")
 
@@ -287,85 +292,6 @@ def csv_texts(draw):
         else:
             text = text[:at] + text[at + 1:]
     return text
-
-
-def _integer_fields_loop(line):
-    """The per-field test of a first line: every stripped field an integer."""
-    return all(map(formats._is_integer_field, [field.strip() for field in line.split(",")]))
-
-
-class TestIntegerRow:
-    """A first line of counts is recognised by one match of _INTEGER_ROW where
-    int() can refuse none of its fields; the per-field loop decides the rest.
-    Both must give the same answer on every line."""
-
-    # fields of optional spaces, a sign and digits, now and then with a piece
-    # that int() or str.strip() reads differently from the grammar
-    _SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x1f", "\xa0", "\u2009", "\u3000", "\u200b", "\ufeff"])
-    _FIELD = st.tuples(
-        st.lists(_SPACE, max_size=2).map("".join),
-        st.sampled_from(["", "", "+", "-", "+-"]),
-        st.sampled_from(["0", "7", "12", "905", "", "1_0", "\uff15", "\u0663", "a", "1.0", "1e3"]),
-        st.lists(_SPACE, max_size=2).map("".join),
-    ).map("".join)
-
-    @given(st.lists(_FIELD, min_size=1, max_size=6).map(",".join))
-    def test_one_match_decides_as_the_loop_does(self, line):
-        assert (formats._INTEGER_ROW.fullmatch(line) is not None) == _integer_fields_loop(line)
-        assert formats._is_integer_row(line) == _integer_fields_loop(line)
-
-    @pytest.mark.parametrize(
-        "line, counts",
-        [
-            ("1,2", True),
-            (" 1 ,\t2\t", True),
-            ("\u30001,\xa02\u2009", True),  # Unicode whitespace, which str.strip() strips
-            ("+1,-2", True),  # signs parse; a negative count fails later, as a count
-            ("\u200b1,2", False),  # not whitespace to str.strip()
-            ("1_0,2", False),  # int() would take it
-            ("\uff15,1", False),  # a fullwidth 5, which int() would take
-            ("1,,2", False),
-            ("1,", False),
-            ("", False),
-            ("a,b", False),
-            ("9" * 4300, True),  # as many digits as int() reads by default
-            ("9" * 4301, False),  # one more, which int() refuses
-            ("1, " + "9" * 4300, True),  # a line longer than the limit goes field by field
-        ],
-        ids=["plain", "spaces", "unicode-space", "signs", "zero-width", "underscore", "fullwidth",
-             "empty-field", "trailing-comma", "empty", "labels", "4300-digits", "4301-digits", "long-line"],
-    )
-    def test_pinned(self, line, counts):
-        assert sys.get_int_max_str_digits() == 4300
-        assert formats._is_integer_row(line) is counts
-        assert _integer_fields_loop(line) is counts
-        if len(line) <= 4300:  # the pattern alone decides such a line
-            assert (formats._INTEGER_ROW.fullmatch(line) is not None) is counts
-
-    @pytest.mark.parametrize("limit, digits, counts", [(640, 640, True), (640, 641, False), (0, 5000, True)])
-    def test_follows_the_int_digit_limit(self, limit, digits, counts):
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(limit)
-        try:
-            line = "9" * digits + ",1"
-            assert formats._is_integer_row(line) is counts
-            assert _integer_fields_loop(line) is counts
-        finally:
-            sys.set_int_max_str_digits(old)
-
-    def test_a_line_of_counts_takes_the_match(self, monkeypatch):
-        def refused(field):
-            raise AssertionError(f"per-field test of {field!r}")
-
-        monkeypatch.setattr(formats, "_is_integer_field", refused)
-        assert parse_csv(" 1, 2\n3 ,4\n").labels is None
-        with pytest.raises(AssertionError, match="per-field"):
-            parse_csv("a,b\n1,2\n3,4\n")
-
-    def test_a_long_label_field_is_a_label(self):
-        label = "9" * 4301
-        doc = parse_csv(f"{label},b\n1,2\n3,4\n")
-        assert doc.labels == (label, "b")
 
 
 class TestCsvFastPathEquivalence:
