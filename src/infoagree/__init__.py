@@ -8,13 +8,9 @@ oracle evaluates the defining limit numerically and double-checks the
 closed form.
 
 Importing the package loads the closed form (measure) and what it needs.
-The distribution API (CategoricalDistribution, RefinedDistribution,
-conditional_entropy, entropy_from_counts, joint, marginal_x, marginal_y,
-mutual_information, refine, shannon_entropy, from infotheory) and the
-epsilon oracle (ConvergenceConfig, ConvergenceReport, EpsilonEvaluation,
-EpsilonMatrix, check_convergence, default_convergence_config, eval_ia_at,
-sweep, zero_freed, from oracle) load on first use of one of their names,
-so a process that only computes values does not pay for compiling them.
+The distribution API (infotheory) and the epsilon oracle (oracle) load on
+first use of one of their names, listed in _ON_FIRST_USE, so a process
+that only computes values does not pay for compiling them.
 ``from infoagree import *`` binds every name in __all__, and so loads both.
 
 The package is pure Python on NumPy; the hot x*log2(x) kernel is one NumPy

@@ -10,17 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from infoagree import _kernels
-from infoagree.errors import NegativeCellError
-from infoagree.matrix import U64_MAX, _max, _min, _split_total, _sum
+from infoagree.matrix import U64_MAX, _max, _min, _negative_cell, _split_total, _sum
 
 
 def blocked_stats(src: np.ndarray, copy: bool):
     """The counts and statistics AgreementMatrix keeps for a square integer
     array src, from one pass over row blocks of about _kernels._SLICE_CELLS
     cells: (counts, max_cell, row_sums, col_sums, positive_cells, total),
-    the total exact as a Python int, beyond 2**64 - 1 too. The counts are a
-    C-order uint64 copy of src, or, with ``copy`` false, src itself when it
-    is already such an array; a negative cell raises a NegativeCellError.
+    the total exact as a Python int, beyond 2**64 - 1 too. The counts are
+    those AgreementMatrix._adopt keeps; a negative cell raises NegativeCellError.
 
     Each block is copied into the counts, when they are a copy, checked for
     a negative cell when src is signed, and reduced four times while it is
@@ -48,7 +46,7 @@ def blocked_stats(src: np.ndarray, copy: bool):
             if signed and _min(block.view(np.int64), axis=None) < 0:
                 part = src[lo : lo + step]
                 y, x = np.argwhere(part < 0)[0]
-                raise NegativeCellError(f"cell [{lo + y}][{x}] is negative: {part[y, x]}")
+                raise _negative_cell(lo + y, x, part[y, x])
         top = int(_max(block, axis=None))
         sums = _sum(block, axis=1, out=row_sums[lo : lo + step])
         np.add(col_sums, _sum(block, axis=0, out=col_part), out=col_sums)

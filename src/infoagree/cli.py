@@ -21,20 +21,19 @@ from __future__ import annotations
 import _thread
 import argparse
 import atexit
+import io
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
+import infoagree
 from infoagree import __version__
 from infoagree.errors import InfoAgreeError, InternalInvariantError
 from infoagree.formats import build_report, dump_json, error_record, load_document
 from infoagree.measure import ia_epsilon
-
-if TYPE_CHECKING:  # bound on first use by _load_oracle
-    from infoagree.oracle import check_convergence, default_convergence_config, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -45,24 +44,14 @@ EXIT_CONVERGENCE = 3
 # parser loads no oracle; tests/test_cli.py checks that they give its grid
 _EPS_FROM, _EPS_TO, _EPS_STEPS = 1e-2, 1e-282, 11
 
-# the oracle's names the sweep verb calls, module attributes of this module
-# once _load_oracle has run
+# the oracle's names the sweep verb calls, loaded on first use by the package,
+# unless a wrapper (as the benchmark's tracer sets) is bound here instead
 _ORACLE_NAMES = ("check_convergence", "default_convergence_config", "sweep")
-
-
-def _load_oracle() -> None:
-    """Bind _ORACLE_NAMES here from the oracle, keeping any already bound (a
-    wrapper set on this module's attribute, as the benchmark's tracer sets)."""
-    import infoagree.oracle as oracle  # this form shows in python -X importtime
-
-    for name in _ORACLE_NAMES:
-        globals().setdefault(name, getattr(oracle, name))
 
 
 def __getattr__(name: str):
     if name in _ORACLE_NAMES:
-        _load_oracle()
-        return globals()[name]
+        return getattr(infoagree, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -188,7 +177,7 @@ def _measure(path: str, fmt: str | None):
 def _render(args, doc, result, swept=None) -> None:
     """Write the report, or with --plain the value alone, to --output or stdout."""
     if args.plain:
-        text = format(result.value, ".17g")
+        text = dump_json(result.value)
     else:
         text = dump_json(build_report(doc, result, version=__version__, sweep=swept))
     _write_output(text + "\n", args.output)
@@ -202,18 +191,18 @@ def _cmd_compute(args) -> int:
 def _cmd_sweep(args) -> int:
     import dataclasses  # sweep alone needs it, and the oracle's records load it anyway
 
-    _load_oracle()
+    here = sys.modules[__name__]  # _ORACLE_NAMES: the oracle's, or a wrapper bound here
     grid = _epsilon_grid(args.eps_from, args.eps_to, args.eps_steps)
     if args.final_tol is not None and not (math.isfinite(args.final_tol) and args.final_tol >= 0.0):
         raise InfoAgreeError(f"--final-tol must be finite and >= 0, got {args.final_tol!r}")
     doc, result = _measure(args.path, args.format)
-    evaluations = sweep(doc.matrix, grid)
+    evaluations = here.sweep(doc.matrix, grid)
     flags = {"final_tol": args.final_tol, "require_shrinking_tail": args.require_shrinking_tail}
     config = dataclasses.replace(
-        default_convergence_config(doc.matrix),
+        here.default_convergence_config(doc.matrix),
         **{name: value for name, value in flags.items() if value is not None},
     )
-    verdict = check_convergence(evaluations, result.value, config)
+    verdict = here.check_convergence(evaluations, result.value, config)
     _render(args, doc, result, (evaluations, verdict, config))
     return EXIT_OK if verdict.passed else EXIT_CONVERGENCE
 
@@ -272,11 +261,21 @@ def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
 
 
 def _write_output(text: str, output_path: str | None) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
+    if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+        return
+    stream, raw = sys.stdout, getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):  # buffered stdout, or a StringIO
+        stream.write(text)
+        return
+    # unbuffered stdout (-u, PYTHONUNBUFFERED): its text layer drops what a
+    # short raw write leaves, as when a pipe's reader closes, so the bytes it
+    # would write go to the raw layer until all are written or a write raises
+    stream.flush()
+    data = memoryview(text.replace("\n", os.linesep).encode(stream.encoding, stream.errors))
+    while data:
+        data = data[raw.write(data) :]
 
 
 def run() -> NoReturn:
@@ -285,14 +284,11 @@ def run() -> NoReturn:
     Once main() has returned and stdout and stderr are flushed, the process
     runs its atexit callbacks, flushes again and ends with os._exit. That
     skips the interpreter's teardown, which with NumPy loaded took 24-27 ms
-    of a 2-vCPU VM's time and which no caller can see. Whenever something could see it, the
-    process ends with sys.exit, as it would without this entry point: when a
-    flush fails (the interpreter then reports it as usual), when a trace,
-    profile or sys.monitoring hook is set (a profiler prints its report
-    after the module returns), when the interpreter is to go interactive
-    (-i, PYTHONINSPECT), when another thread is alive (the interpreter
-    waits for it), or when this interpreter lacks atexit._run_exitfuncs or
-    _thread._count.
+    of a 2-vCPU VM's time and which no caller can see. Whenever something
+    could see it, the process ends with sys.exit, as it would without this
+    entry point: when a flush fails (the interpreter then reports it as
+    usual), when _exit_is_observed(), or when this interpreter lacks
+    atexit._run_exitfuncs.
     """
     code = main()
     run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
@@ -316,8 +312,9 @@ def _flush_std_streams() -> bool:
 
 
 def _exit_is_observed() -> bool:
-    """Whether anything would act on the interpreter's teardown: a hook, an
-    interactive session to come or another live thread."""
+    """Whether anything would act on the interpreter's teardown: a hook (a
+    profiler reports after the module returns), an interactive session to
+    come or another live thread, which the interpreter waits for."""
     if sys.gettrace() is not None or sys.getprofile() is not None:
         return True
     monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile, coverage

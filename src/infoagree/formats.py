@@ -4,10 +4,7 @@ Input orientation is fixed: row index = rater Y's class, column index =
 rater X's class. The agreement value itself is transpose-symmetric, so a
 flipped reading would be invisible in the value; the m (non-null rows) and
 l (non-null columns) fields in reports exist partly to keep orientation
-auditable.
-
-Report floats are serialized with 17 significant digits, which round-trips
-doubles exactly and keeps report bytes stable across runs.
+auditable. Reports are serialized by dump_json alone.
 """
 
 from __future__ import annotations
@@ -32,8 +29,8 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
-# the line boundaries of str.splitlines()
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# str.splitlines()'s line boundaries but "\r\n" and "\r", which parse_csv made "\n"
+_LINE_BREAK = re.compile(r"[\n\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _UTF8_BOM = b"\xef\xbb\xbf"
 # a JSON string literal, its escapes included
 _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
@@ -92,7 +89,7 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     head = [field.strip() for field in first_line.split(",")]
     labels: tuple[str, ...] | None = None
     start = 0  # where the body begins
-    if not all(map(_is_integer_field, head)):
+    if None in map(_field_count, head):  # not "all": a count of 0 is falsy
         labels = tuple(head)
         start = len(text) if brk is None else brk.end()
     # a large body is converted where it lies in text, and a small one from a
@@ -117,12 +114,8 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
 
 
 def _square_counts(text: str, start: int) -> np.ndarray | None:
-    """The body text[start:_blank_run_start(text, start)] as a square uint64
-    array, when it is only ASCII digits, ",", " ", "\t" and "\n", holds no
-    empty line, and its converter reads it as one; else None. A large body
-    goes to the blocked digit parser alone, which reads it in place and
-    takes every body np.loadtxt takes but those with a cell of more than 24
-    digits."""
+    """The body from start as a square uint64 array from the array converter
+    its size picks, when it keeps parse_csv's body contract; else None."""
     if len(text) - start >= _VECTOR_MIN_BYTES:
         # loaded on the first large body: compiled with this module, the
         # parser would add about 2 ms to the start of every CLI process
@@ -170,13 +163,14 @@ def _csv_cells(lines: list[str], first_row: int) -> list[list[int]]:
     ParseError at the first short row or bad field."""
     rows = [[field.strip() for field in line.split(",")] for line in lines]
     width = len(rows[0])
-    for row_no, row in enumerate(rows, first_row):
+    cells = [list(map(_field_count, row)) for row in rows]
+    for row_no, (row, counts) in enumerate(zip(rows, cells), first_row):
         if len(row) != width:
             raise ParseError(f"expected {width} fields, found {len(row)}", row=row_no)
-        for col_no, field in enumerate(row, 1):
-            if not _is_integer_field(field):
-                raise ParseError(f"not an integer: {field!r}", row=row_no, col=col_no)
-    return [[int(field) for field in row] for row in rows]
+        if None in counts:
+            col = counts.index(None)
+            raise ParseError(f"not an integer: {row[col]!r}", row=row_no, col=col + 1)
+    return cells
 
 
 def parse_json(text: str, source_path: str = "<string>") -> MatrixDocument:
@@ -302,19 +296,19 @@ def _universal_newlines(text: str) -> str:
     return text
 
 
-def _is_integer_field(field: str) -> bool:
-    """An optional sign and ASCII digits, after stripping surrounding spaces.
+def _field_count(field: str) -> int | None:
+    """The int a stripped CSV field spells as an optional sign and ASCII
+    digits, or None when it spells none.
 
     int() alone would also take "1_0" and non-ASCII digits such as "５"; it
     still refuses more digits than sys.get_int_max_str_digits() allows.
     """
-    if _INTEGER_FIELD.fullmatch(field.strip()) is None:
-        return False
+    if _INTEGER_FIELD.fullmatch(field) is None:
+        return None
     try:
-        int(field)
+        return int(field)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 # --- reports ----------------------------------------------------------------
@@ -384,7 +378,8 @@ def dump_json(value: Any, indent: int | None = 2) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
     The standard encoder emits shortest-round-trip floats; reports pin the
-    17-digit form instead so the bytes are stable and documented. Keys keep
+    17-digit form instead, which round-trips every double, so the bytes are
+    stable and documented. The CLI's --plain value is this form too. Keys keep
     insertion order. ``indent=None`` gives the compact one-line form used
     for batch output.
     """

@@ -35,12 +35,18 @@ joint distribution; exceeds accumulated rounding for supports up to ~10^8."""
 TOTAL_TOL = 1e-12
 """Absolute tolerance between a stated weight total and the exact sum."""
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalDistribution:
     """Finite probability distribution over the indices of ``probs``: a read-only
-    float64 array (1-d marginal, 2-d joint), nonnegative, summing to 1 within PROB_SUM_TOL."""
+    float64 array (1-d marginal, 2-d joint), nonnegative, summing to 1 within PROB_SUM_TOL.
+    Two are equal when of one class with equal probs; unhashable, as AgreementMatrix is."""
 
     probs: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
 
     def __post_init__(self):
         # always a copy, so the caller's array stays writeable and its later writes stay out
@@ -70,7 +76,7 @@ class CategoricalDistribution:
         return int(np.count_nonzero(self.probs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinedDistribution(CategoricalDistribution):
     """A distribution restricted to its support, the boolean mask ``support``
     = probs > 0: sums over it skip every cell outside the mask."""

@@ -88,7 +88,7 @@ class AgreementMatrix:
             # only a signed dtype can hold a negative cell; unsigned input skips the scan
             if arr.dtype.kind == "i" and arr.size and _min(arr, axis=None) < 0:
                 y, x = np.argwhere(arr < 0)[0]
-                raise NegativeCellError(f"cell [{y}][{x}] is negative: {arr[y, x]}")
+                raise _negative_cell(y, x, arr[y, x])
             # C order whatever the input's: a Fortran or strided copy would make
             # every later ravel() of the counts copy them again
             arr = arr.astype(np.uint64, order="C", copy=copy)
@@ -181,10 +181,15 @@ def _coerce_sequences(rows) -> np.ndarray:
             if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)):
                 raise NonIntegerCellError(f"cell [{y}][{x}] is not an integer: {cell!r}")
             if cell < 0:
-                raise NegativeCellError(f"cell [{y}][{x}] is negative: {cell}")
+                raise _negative_cell(y, x, cell)
             if cell > U64_MAX:
                 raise CountOverflowError(f"cell [{y}][{x}] exceeds 64-bit range: {cell}")
     return np.array(row_list, dtype=np.uint64)
+
+
+def _negative_cell(y: int, x: int, cell) -> NegativeCellError:
+    """The error for the negative cell ``cell`` at counts[y][x]."""
+    return NegativeCellError(f"cell [{y}][{x}] is negative: {cell}")
 
 
 def _split_total(arr: np.ndarray) -> int:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -701,10 +702,42 @@ class TestRunExit:
             proc.stderr.close()
             outcomes.append((proc.wait(timeout=120), err))
         assert outcomes[0] == outcomes[1]
-        if buffered and argv[0] == "batch":  # the write fails inside main()
+        if argv[0] == "batch":  # the write fails inside main(), buffered or not
             assert outcomes[0] == (1, "error: [Errno 32] Broken pipe\n")
         elif buffered:  # the flush fails after main(), and the interpreter reports it
             assert outcomes[0][0] == 120 and "BrokenPipeError" in outcomes[0][1]
+
+
+class TestWriteOutputToRawStdout:
+    """Unbuffered stdout's text layer writes to a raw stream and drops what a
+    short write leaves; the report goes to the raw stream until it is all
+    written."""
+
+    class _Trickle(io.RawIOBase):
+        """A raw stream that takes at most ``limit`` bytes per write."""
+
+        def __init__(self, limit):
+            self.limit, self.data = limit, bytearray()
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            chunk = bytes(b[: self.limit])
+            self.data += chunk
+            return len(chunk)
+
+    def _stdout(self, monkeypatch, limit):
+        raw = self._Trickle(limit)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        return raw
+
+    def test_every_byte_of_the_report_is_written(self, monkeypatch):
+        raw = self._stdout(monkeypatch, 7)
+        text = "".join(f'{{"path": "\u00e9t\u00e9{i}.csv"}}\n' for i in range(300))
+        sys.stdout.write("before\n")  # 7 bytes: the text layer writes them whole
+        infoagree.cli._write_output(text, None)
+        assert raw.data.decode("utf-8") == "before\n" + text
 
 
 class TestRunFallbacksInProcess:

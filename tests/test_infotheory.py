@@ -98,6 +98,44 @@ class TestDistributionTypes:
         assert dist([[0.5, 0.0], [0.25, 0.25]]).support_size() == 3
 
 
+class TestDistributionEquality:
+    m = AgreementMatrix([[4, 1, 0], [2, 5, 3], [0, 1, 6]])
+
+    def test_equal_probabilities_of_one_class_are_equal(self):
+        assert marginal_x(self.m) == marginal_x(self.m)
+        assert joint(self.m) == joint(self.m)
+        assert refine(joint(self.m)) == refine(joint(self.m))
+        assert marginal_x(self.m) == dist(self.m.col_sums() / self.m.total)
+        assert not marginal_x(self.m) != marginal_x(self.m)
+
+    def test_different_probabilities_are_unequal(self):
+        assert marginal_x(self.m) != marginal_y(self.m)
+        assert rdist([0.5, 0.5, 0.0]) != rdist([0.5, 0.0, 0.5])
+
+    def test_different_shapes_are_unequal(self):
+        assert dist([0.25, 0.25, 0.25, 0.25]) != dist([[0.25, 0.25], [0.25, 0.25]])
+        assert dist([0.5, 0.5]) != dist([0.5, 0.5, 0.0])
+
+    def test_a_refined_distribution_is_not_its_unrefined_source(self):
+        source = joint(self.m)
+        assert refine(source) != source
+        assert source != refine(source)
+        assert rdist([0.5, 0.5]) != dist([0.5, 0.5])
+
+    def test_other_types_are_unequal(self):
+        d = dist([0.5, 0.5])
+        assert d != [0.5, 0.5]
+        assert d != None  # noqa: E711 - the == operator itself is under test
+
+    @pytest.mark.parametrize("make", [dist, rdist], ids=["categorical", "refined"])
+    def test_unhashable(self, make):
+        d = make([0.5, 0.5])
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(d)
+        with pytest.raises(TypeError):
+            {d}
+
+
 class TestMatrixDistributions:
     def test_marginal_x(self):
         assert marginal_x(AgreementMatrix([[1, 1], [1, 1]])).probs.tolist() == [0.5, 0.5]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import infoagree
 from infoagree import _kernels
+from infoagree.errors import InternalInvariantError
 
 
 def reference_xlog2_sum(values):
@@ -191,3 +192,36 @@ def test_hist_kernel_copies_no_more_than_a_slice_of_read_only_counts():
         tracemalloc.stop()
     # np.bincount copies a read-only array whole: 5 MB here without slices
     assert peak < _kernels._SLICE_CELLS * 8 + 64 * 1024
+
+
+class TestFinalizeEntropy:
+    """The safety branches of _finalize_entropy, which no valid matrix
+    reaches: a small negative entropy is rounding, anything below is a bug."""
+
+    @pytest.mark.parametrize("slack", [_kernels.ENTROPY_SLACK, 1e-9, 0.5])
+    def test_absorbs_down_to_exactly_minus_slack(self, slack):
+        for h in (-slack, math.nextafter(-slack, 0.0), -5e-324):
+            result = _kernels._finalize_entropy(h, slack)
+            assert result == 0.0 and math.copysign(1.0, result) == 1.0
+
+    @pytest.mark.parametrize("slack", [_kernels.ENTROPY_SLACK, 1e-9, 0.5])
+    def test_raises_just_beyond_minus_slack(self, slack):
+        with pytest.raises(InternalInvariantError, match="entropy computed as"):
+            _kernels._finalize_entropy(math.nextafter(-slack, -1.0), slack)
+
+    def test_default_slack_is_entropy_slack(self):
+        assert _kernels._finalize_entropy(-_kernels.ENTROPY_SLACK) == 0.0
+        with pytest.raises(InternalInvariantError):
+            _kernels._finalize_entropy(math.nextafter(-_kernels.ENTROPY_SLACK, -1.0))
+
+    def test_nan_raises(self):
+        with pytest.raises(InternalInvariantError, match="nan"):
+            _kernels._finalize_entropy(math.nan)
+
+    def test_negative_zero_comes_back_positive(self):
+        result = _kernels._finalize_entropy(-0.0)
+        assert result == 0.0 and math.copysign(1.0, result) == 1.0
+
+    @pytest.mark.parametrize("h", [0.0, 5e-324, 1.5, 10.6])
+    def test_a_nonnegative_entropy_is_kept(self, h):
+        assert _kernels._finalize_entropy(h) == h

@@ -541,3 +541,37 @@ class TestDecimalReference:
     def test_generic_route_mixed_magnitudes(self, grid):
         assume(any(any(row) for row in grid))
         _assert_matches_reference(grid)
+
+
+class TestAbsorbRounding:
+    """The safety branches of _absorb_rounding: valid matrices reach its
+    absorption below 0, but not the one above 1 or the raise."""
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 0.5, 1.0])
+    def test_a_value_in_the_unit_interval_is_kept(self, value):
+        assert measure._absorb_rounding(value) == value
+
+    def test_absorbs_down_to_exactly_minus_rounding_tol(self):
+        for value in (-measure.ROUNDING_TOL, math.nextafter(-measure.ROUNDING_TOL, 0.0), -5e-324):
+            result = measure._absorb_rounding(value)
+            assert result == 0.0 and math.copysign(1.0, result) == 1.0
+
+    def test_absorbs_up_to_exactly_one_plus_rounding_tol(self):
+        top = 1.0 + measure.ROUNDING_TOL
+        for value in (top, math.nextafter(top, 1.0), math.nextafter(1.0, 2.0)):
+            assert measure._absorb_rounding(value) == 1.0
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nextafter(-measure.ROUNDING_TOL, -1.0),
+            math.nextafter(1.0 + measure.ROUNDING_TOL, 2.0),
+            math.nan,
+            math.inf,
+            -math.inf,
+        ],
+        ids=["below", "above", "nan", "inf", "-inf"],
+    )
+    def test_raises_beyond_the_tolerance(self, value):
+        with pytest.raises(InternalInvariantError, match=r"outside \[0, 1\]"):
+            measure._absorb_rounding(value)
