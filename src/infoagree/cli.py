@@ -21,6 +21,7 @@ from __future__ import annotations
 import _thread
 import argparse
 import atexit
+import errno
 import io
 import math
 import os
@@ -265,6 +266,8 @@ def _write_output(text: str, output_path: str | None) -> None:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise OSError(errno.EBADF, "stdout is closed")
     stream, raw = sys.stdout, getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.RawIOBase):  # buffered stdout, or a StringIO
         stream.write(text)

@@ -61,11 +61,13 @@ class MatrixDocument(NamedTuple):
 def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     """Parse comma-separated nonnegative integer rows.
 
-    Each cell is an optional sign followed by ASCII digits, with spaces or
-    tabs allowed around it. An optional first row of class labels is
-    detected by containing any field that is not such an integer; it must
-    name exactly n classes. Lines break where str.splitlines() breaks them, and trailing
-    blank lines are ignored. Separator "," is fixed; no locale handling.
+    Each cell is an optional sign followed by ASCII digits, with whatever
+    str.strip() strips allowed around it: spaces, tabs, U+00A0 and every
+    other character of str.isspace() that does not break a line. An
+    optional first row of class labels is detected by containing any field
+    that is not such an integer; it must name exactly n classes. Lines
+    break where str.splitlines() breaks them, and trailing blank lines are
+    ignored. Separator "," is fixed; no locale handling.
 
     Line ends are made "\n" here alone. The body after the label row, up to
     its trailing run of spaces, tabs and "\n" (``_blank_run_start``), when

@@ -86,24 +86,14 @@ class AgreementMatrix:
             arr, max_cell, row_sums, col_sums, positive_cells, total = stats
         else:
             # only a signed dtype can hold a negative cell; unsigned input skips the scan
-            if arr.dtype.kind == "i" and arr.size and _min(arr, axis=None) < 0:
-                y, x = np.argwhere(arr < 0)[0]
-                raise _negative_cell(y, x, arr[y, x])
+            if arr.dtype.kind == "i":
+                _raise_first_negative(arr, 0)
             # C order whatever the input's: a Fortran or strided copy would make
             # every later ravel() of the counts copy them again
             arr = arr.astype(np.uint64, order="C", copy=copy)
             if n < 2:
                 raise DimensionTooSmallError(f"need at least 2 classes, got {n}")
-            max_cell = int(_max(arr, axis=None))
-            # a line sum is a partial sum of the total, so it is exact whenever
-            # the total fits in 64 bits, and the total is checked below
-            row_sums = _sum(arr, axis=1)
-            col_sums = _sum(arr, axis=0)
-            if max_cell <= U64_MAX // arr.size:
-                total = int(_sum(row_sums))
-            else:
-                total = _split_total(arr)
-            positive_cells = int(np.count_nonzero(arr))
+            max_cell, row_sums, col_sums, positive_cells, total = _cell_stats(arr)
         if total > U64_MAX:
             raise CountOverflowError(f"total count {total} exceeds 64-bit range")
         if total == 0:
@@ -190,6 +180,34 @@ def _coerce_sequences(rows) -> np.ndarray:
 def _negative_cell(y: int, x: int, cell) -> NegativeCellError:
     """The error for the negative cell ``cell`` at counts[y][x]."""
     return NegativeCellError(f"cell [{y}][{x}] is negative: {cell}")
+
+
+def _raise_first_negative(arr: np.ndarray, r0: int) -> None:
+    """Raise NegativeCellError at the first negative cell, in row-major
+    order, of the signed 2-d array arr, whose first row is row r0 of the
+    matrix; return if arr has none."""
+    # initial=0 lets an empty array through and moves no minimum below 0
+    if _min(arr, axis=None, initial=0) < 0:
+        y, x = np.argwhere(arr < 0)[0]
+        raise _negative_cell(r0 + y, x, arr[y, x])
+
+
+def _cell_stats(arr: np.ndarray):
+    """The statistics AgreementMatrix keeps for a nonempty 2-d uint64 array,
+    a whole matrix or a block of its rows: (max_cell, row_sums, col_sums,
+    positive_cells, total).
+
+    The total is exact as a Python int, beyond 2**64 - 1 too: the 64-bit sum
+    of the row sums when size * max_cell fits in 64 bits, and _split_total's
+    otherwise. A line sum is a partial sum of the matrix's total, so the
+    line sums are exact whenever that total fits in 64 bits, which the
+    caller checks.
+    """
+    max_cell = int(_max(arr, axis=None))
+    row_sums = _sum(arr, axis=1)
+    col_sums = _sum(arr, axis=0)
+    total = int(_sum(row_sums)) if max_cell <= U64_MAX // arr.size else _split_total(arr)
+    return max_cell, row_sums, col_sums, int(np.count_nonzero(arr)), total
 
 
 def _split_total(arr: np.ndarray) -> int:

@@ -186,6 +186,12 @@ class TestSweep:
         assert out == ""
         assert err == f"error: --eps-steps {steps} is too many: its grid cannot be allocated\n"
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_fewer_than_one_step_exits_1_before_the_file_is_read(self, capsys, tmp_path, steps):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(capsys, "sweep", "--eps-steps", steps, missing)
+        assert (code, out, err) == (1, "", "error: --eps-steps must be at least 1\n")
+
     def test_one_step_grid_is_eps_from_alone(self):
         grid = infoagree.cli._epsilon_grid(1e-3, 1.0, 1)
         assert grid.tolist() == [1e-3]
@@ -706,6 +712,25 @@ class TestRunExit:
             assert outcomes[0] == (1, "error: [Errno 32] Broken pipe\n")
         elif buffered:  # the flush fails after main(), and the interpreter reports it
             assert outcomes[0][0] == 120 and "BrokenPipeError" in outcomes[0][1]
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["compute", "m.csv"], 1, "error: [Errno 9] stdout is closed\n"),
+            (["compute", "--plain", "m.csv"], 1, "error: [Errno 9] stdout is closed\n"),
+            (["sweep", "m.csv"], 1, "error: [Errno 9] stdout is closed\n"),
+            (["batch", "."], 1, "error: [Errno 9] stdout is closed\n"),
+            (["compute", "--output", "out.json", "m.csv"], 0, ""),
+        ],
+        ids=["compute", "compute-plain", "sweep", "batch", "compute-output"],
+    )
+    def test_a_closed_stdout_is_bad_input(self, tmp_path, argv, code, err):
+        # fd 1 is closed before the CLI's interpreter starts, so its sys.stdout is None
+        (tmp_path / "m.csv").write_text("4,1\n2,5\n")
+        closed = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+        done = _python(["-c", closed, "-m", "infoagree.cli", *argv], cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+        assert (tmp_path / "out.json").exists() == ("--output" in argv)
 
 
 class TestWriteOutputToRawStdout:

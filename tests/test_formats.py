@@ -88,6 +88,12 @@ class TestParseCsv:
         doc = parse_csv(" 1 , 2\n3,4\n\n")
         assert doc.matrix == AgreementMatrix([[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize(
+        "text", ["\t5,1\n2,\t5\t\n", "\xa05,1\n2,5\xa0\n"], ids=["tab", "no-break-space"]
+    )
+    def test_what_str_strip_strips_is_allowed_around_a_cell(self, text):
+        assert parse_csv(text).matrix == AgreementMatrix([[5, 1], [2, 5]])
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_csv("")
@@ -604,6 +610,13 @@ class TestLoadDocument:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ParseError):
             load_document(str(path))
+
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(ParseError) as exc:
+            load_document(str(path), "xml")
+        assert str(exc.value) == "unknown format 'xml'"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -39,6 +39,20 @@ class TestConstruction:
         with pytest.raises(NotSquareError):
             AgreementMatrix([[1, 2], [3]])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.arange(4), "expected a 2-d array, got 1-d"),
+            (5, "input is not a sequence of rows"),
+            ([1, 2], "input is not a sequence of rows"),
+        ],
+        ids=["1-d-array", "int", "flat-list"],
+    )
+    def test_not_a_table_rejected(self, rows, message):
+        with pytest.raises(NotSquareError) as exc:
+            AgreementMatrix(rows)
+        assert str(exc.value) == message
+
     def test_one_by_one_rejected(self):
         with pytest.raises(DimensionTooSmallError):
             AgreementMatrix([[5]])
@@ -376,6 +390,19 @@ class TestBlockedValidation:
         with pytest.raises(NegativeCellError) as exc:
             AgreementMatrix(_layouts(cells)[layout])
         assert str(exc.value) == "cell [5][590] is negative: -3"
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_statistics_combine_across_blocks(self, dtype):
+        # the largest cell is in the first block only, and the last block is all zeros
+        n = 600  # blocks of 54 rows
+        cells = np.random.default_rng(600).integers(0, 10, size=(n, n)).astype(dtype)
+        cells[0, 5] = 1000
+        cells[-60:] = 0
+        m = AgreementMatrix(cells)
+        assert (m.max_cell, m.total) == (1000, int(cells.sum()))
+        assert m.positive_cells == np.count_nonzero(cells)
+        assert m.row_sums().tolist() == cells.sum(axis=1).tolist()
+        assert m.col_sums().tolist() == cells.sum(axis=0).tolist()
 
     @pytest.mark.parametrize("n, blocked", [(400, False), (511, False), (512, True), (800, True)])
     def test_the_pass_takes_matrices_from_2_18_cells(self, monkeypatch, n, blocked):
