@@ -1,16 +1,27 @@
 """The hot numeric kernels: the x*log2(x) sum over count and probability
 vectors, the same sum over small integer counts taken from their
-histogram, and the entropy of a count vector built on the two.
+histogram, the blocked sum of p*log2(p/(a*b)) over a 2-d array, and the
+entropies and mutual information built on them. Each rule has its one
+home here:
 
-The count entropy is the one routine for entropy from counts, called by
-measure.ia_epsilon and infotheory.entropy_from_counts. It lives here so
-that the closed form does not load the distribution layer (infotheory).
+- _count_entropy, the one routine for entropy from counts, called by
+  measure.ia_epsilon and infotheory.entropy_from_counts;
+- _probs_entropy, H = -sum(p*log2(p)) of a probability vector, called by
+  infotheory.shannon_entropy and measure.ia_strict;
+- _xlog2_ratio_sum, the blocked ratio sum, called by
+  infotheory.mutual_information and infotheory.conditional_entropy on a
+  joint's probabilities, and by measure.ia_strict on a matrix's counts;
+- _finalize_mi, which takes a mutual information that rounding put just
+  below 0 as 0, for infotheory.mutual_information and measure.ia_strict.
 
-Both sums are called thousands of times on vectors of a few dozen entries (a
-bootstrap over small matrices), where NumPy's fixed cost per call outweighs
-the arithmetic. So a caller that already knows how many entries are
-positive says so, which spares the mask and the compress when all are, and
-the histogram kernel reads k and log2(k) from a table built at import
+They live here so that the closed form loads no distribution layer
+(infotheory).
+
+The two x*log2(x) sums are called thousands of times on vectors of a few
+dozen entries (a bootstrap over small matrices), where NumPy's fixed cost
+per call outweighs the arithmetic. So a caller that already knows how many
+entries are positive says so, which spares the mask and the compress when
+all are, and the histogram kernel reads k and log2(k) from a table built at import
 instead of building them each time. Neither changes a bit of the result.
 
 np.bincount takes only a writeable array and silently copies any other,
@@ -21,7 +32,7 @@ into one histogram; the counts, and so the result, are the same.
 
 Call sites look the kernel up at call time as ``_kernels.xlog2_sum(...)``
 instead of binding it with ``from infoagree._kernels import xlog2_sum``, and
-the count entropy looks it up in this module's globals, so a wrapper
+the entropies look it up in this module's globals, so a wrapper
 installed on this module attribute (the benchmark's layer tracer does
 this) sees every call.
 """
@@ -35,8 +46,8 @@ import numpy as np
 from infoagree.errors import InternalInvariantError
 
 ENTROPY_SLACK = 1e-12
-"""How far below 0 a computed entropy may land and still be taken as
-rounding, and so as 0 bits."""
+"""How far below 0 a computed entropy or mutual information may land and
+still be taken as rounding, and so as 0 bits."""
 
 
 def xlog2_sum(values: np.ndarray, positive: int | None = None) -> float:
@@ -80,8 +91,7 @@ _LOG2_TABLE = _log2_table(2048)
 _SLICE_CELLS = 2**15
 """How many cells a blocked loop takes at a time: 256 KiB of 8-byte values.
 The histogram kernel hands np.bincount slices of at least this many counts,
-and infotheory's sums over 2-d arrays take row blocks of about this many
-cells."""
+and _xlog2_ratio_sum takes row blocks of about this many cells."""
 
 
 def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
@@ -109,6 +119,60 @@ def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
     size = hist.size
     table = _LOG2_TABLE if size <= _LOG2_TABLE.shape[1] else _log2_table(size)
     return float(np.add.reduce(hist * table[0, :size] * table[1, :size]))
+
+
+def _xlog2_ratio_sum(
+    cells: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray | None,
+    refined: bool = False,
+    total: float | None = None,
+) -> float:
+    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the cells of a 2-d p;
+    with ``b`` None, of p[i, j] * log2(p[i, j] / a[i]).
+
+    p comes from one of two sources. Without ``total``, p is ``cells``
+    itself, a joint distribution's probabilities, sliced a block at a time.
+    With ``total``, ``cells`` are positive counts, and each block of p is
+    formed as counts / total in a second scratch buffer; those are the bits
+    infotheory.joint would hold, so the sum is the same.
+
+    The rows are taken in blocks of about _SLICE_CELLS cells, each
+    worked in reused scratch of 256 KiB and summed on its own, and the
+    blocks' sums are added in row order. With ``refined``, the support p > 0 is masked a block at a
+    time in one reused mask. So no temporary has p's shape. A masked cell
+    has p = 0 and a ratio of 1, so a block's sum adds nothing for it.
+    NumPy's pairwise sum, unlike a BLAS dot product, gives the same bits
+    for any thread count.
+    """
+    rows, cols = cells.shape
+    step = max(1, _SLICE_CELLS // cols)
+    scratch = np.empty((min(step, rows), cols))
+    probs = None if total is None else np.empty(scratch.shape)
+    support = np.empty(scratch.shape, dtype=bool) if refined else None
+    acc = 0.0
+    for start in range(0, rows, step):
+        block = cells[start : start + step]
+        if probs is not None:
+            block = np.divide(block, total, out=probs[: len(block)])
+        ratio = scratch[: len(block)]
+        where = True
+        if refined:
+            where = np.greater(block, 0.0, out=support[: len(block)])
+            ratio.fill(1.0)
+        np.divide(block, a[start : start + step, None], out=ratio, where=where)
+        if b is not None:
+            np.divide(ratio, b, out=ratio, where=where)
+        np.log2(ratio, out=ratio, where=where)
+        np.multiply(block, ratio, out=ratio)
+        acc += float(np.add.reduce(ratio, axis=None))
+    return acc
+
+
+def _probs_entropy(probs: np.ndarray) -> float:
+    """H = -sum(p * log2(p)) in bits over a 1-d probability vector; zero
+    entries contribute nothing."""
+    return _finalize_entropy(-xlog2_sum(probs))
 
 
 def _count_entropy(
@@ -149,3 +213,10 @@ def _finalize_entropy(h: float, slack: float = ENTROPY_SLACK) -> float:
     if h >= -slack:
         return 0.0
     raise InternalInvariantError(f"entropy computed as {h!r}")
+
+
+def _finalize_mi(mi: float) -> float:
+    """A mutual information within ENTROPY_SLACK below 0 is rounding, so 0
+    bits. Any other value is returned as it is: marginals checked against a
+    joint only to infotheory.MARGINAL_TOL may put the sum further below 0."""
+    return 0.0 if -ENTROPY_SLACK < mi < 0.0 else mi

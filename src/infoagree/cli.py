@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_EPS_STEPS,
         help="geometric grid size (default %(default)s); with 1 the grid is "
-        "--eps-from alone and --eps-to is not used",
+        "--eps-from alone, though --eps-to is still checked",
     )
     p_sweep.add_argument(
         "--final-tol",

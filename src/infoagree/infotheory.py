@@ -4,6 +4,13 @@ are its categories: a marginal is 1-d, a joint 2-d with rater Y on axis 0
 and rater X on axis 1, as in the matrix. Entropies are in bits. Zero
 probabilities are never fed to a logarithm implicitly: a distribution that
 may hold zeros goes through refine(), which masks them out of every sum.
+
+The sums themselves are _kernels': shannon_entropy takes _probs_entropy,
+entropy_from_counts _count_entropy, and mutual_information and
+conditional_entropy the blocked _xlog2_ratio_sum, with _finalize_mi and
+_finalize_entropy absorbing their rounding below 0. measure.ia_strict
+calls the same kernels on a matrix's counts and line sums without this
+module, so its bits are those of the functions here.
 """
 
 from __future__ import annotations
@@ -116,7 +123,7 @@ def shannon_entropy(dist: CategoricalDistribution) -> float:
     zero exactly when the support is a single cell. Raises
     ZeroProbabilityError if an unrefined distribution holds a zero."""
     _is_refined(dist)  # raises on an unrefined zero
-    return _kernels._finalize_entropy(-_kernels.xlog2_sum(dist.probs.ravel()))  # skips zeros
+    return _kernels._probs_entropy(dist.probs.ravel())  # skips zeros
 
 
 def entropy_from_counts(weights: Sequence[float] | np.ndarray, total: float | None = None) -> float:
@@ -170,7 +177,7 @@ def conditional_entropy(
     """H(W|Z) = -sum over cells (z, w) of p(z, w) * log2(p(z, w) / p(z)) = H(ZW) - H(Z),
     with Z on the 2-d joint's axis 0; ``given`` is Z's marginal, checked against the row sums."""
     p_z = _checked_marginal(joint_dist, 1, given, "z")
-    h = -_xlog2_ratio_sum(joint_dist.probs, p_z, None, _is_refined(joint_dist))
+    h = -_kernels._xlog2_ratio_sum(joint_dist.probs, p_z, None, _is_refined(joint_dist))
     return _kernels._finalize_entropy(h, slack=MARGINAL_TOL)
 
 
@@ -184,20 +191,8 @@ def mutual_information(
     marginals of the 2-d joint's axes 0 and 1, each checked against the joint's sums."""
     p_a = _checked_marginal(joint_dist, 1, first, "first")
     p_b = _checked_marginal(joint_dist, 0, second, "second")
-    mi = _xlog2_ratio_sum(joint_dist.probs, p_a, p_b, _is_refined(joint_dist))
-    return 0.0 if -PROB_SUM_TOL < mi < 0.0 else mi
-
-
-def _mutual_information_of_counts(
-    matrix: AgreementMatrix, first: CategoricalDistribution, second: CategoricalDistribution
-) -> float:
-    """mutual_information(joint(matrix), first, second), bit for bit, for a
-    positive ``matrix`` and its own marginals marginal_y and marginal_x, with
-    no joint: each row block of p is the counts over the total, divided
-    just as joint() divides them. The marginals go unchecked, as they are
-    the matrix's exact line sums over the same total."""
-    mi = _xlog2_ratio_sum(matrix.counts, first.probs, second.probs, total=float(matrix.total))
-    return 0.0 if -PROB_SUM_TOL < mi < 0.0 else mi
+    mi = _kernels._xlog2_ratio_sum(joint_dist.probs, p_a, p_b, _is_refined(joint_dist))
+    return _kernels._finalize_mi(mi)
 
 
 def _checked_marginal(joint_dist, axis: int, dist, name: str) -> np.ndarray:
@@ -224,51 +219,3 @@ def _is_refined(dist: CategoricalDistribution) -> bool:
     if dist.probs.min() == 0.0:
         raise ZeroProbabilityError("distribution contains zero probabilities; refine() it first")
     return False
-
-
-def _xlog2_ratio_sum(
-    cells: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray | None,
-    refined: bool = False,
-    total: float | None = None,
-) -> float:
-    """Sum of p[i, j] * log2(p[i, j] / a[i] / b[j]) over the cells of a 2-d p;
-    with ``b`` None, of p[i, j] * log2(p[i, j] / a[i]).
-
-    p comes from one of two sources. Without ``total``, p is ``cells``
-    itself, a joint distribution's probabilities, sliced a block at a time.
-    With ``total``, ``cells`` are positive counts, and each block of p is
-    formed as counts / total in a second scratch buffer; those are the bits
-    joint() would hold, so the sum is the same.
-
-    The rows are taken in blocks of about _kernels._SLICE_CELLS cells, each
-    worked in reused scratch of 256 KiB and summed on its own, and the
-    blocks' sums are added in row order. With ``refined``, the support p > 0 is masked a block at a
-    time in one reused mask. So no temporary has p's shape. A masked cell
-    has p = 0 and a ratio of 1, so a block's sum adds nothing for it.
-    NumPy's pairwise sum, unlike a BLAS dot product, gives the same bits
-    for any thread count.
-    """
-    rows, cols = cells.shape
-    step = max(1, _kernels._SLICE_CELLS // cols)
-    scratch = np.empty((min(step, rows), cols))
-    probs = None if total is None else np.empty(scratch.shape)
-    support = np.empty(scratch.shape, dtype=bool) if refined else None
-    acc = 0.0
-    for start in range(0, rows, step):
-        block = cells[start : start + step]
-        if probs is not None:
-            block = np.divide(block, total, out=probs[: len(block)])
-        ratio = scratch[: len(block)]
-        where = True
-        if refined:
-            where = np.greater(block, 0.0, out=support[: len(block)])
-            ratio.fill(1.0)
-        np.divide(block, a[start : start + step, None], out=ratio, where=where)
-        if b is not None:
-            np.divide(ratio, b, out=ratio, where=where)
-        np.log2(ratio, out=ratio, where=where)
-        np.multiply(block, ratio, out=ratio)
-        acc += float(np.add.reduce(ratio, axis=None))
-    return acc

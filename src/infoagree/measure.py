@@ -59,30 +59,32 @@ class IaResult(NamedTuple):
 def ia_strict(matrix: AgreementMatrix) -> float:
     """Information agreement of a strictly positive matrix, in [0, 1].
 
-    MI(X, Y) / min(H(X), H(Y)), as the paper defines it, over infotheory's
-    marginal distributions. MI is taken from the counts a row block at a
-    time, with each p = count / total formed as infotheory's joint would
-    hold it, so no n x n joint is built and the bits are those of
-    mutual_information over that joint. Raises ContainsZeroError if any
-    cell is zero; use ia_epsilon then.
+    MI(X, Y) / min(H(X), H(Y)), as the paper defines it. The marginals p_y
+    and p_x are the matrix's row and column sums over its total, the bits
+    infotheory's marginal_y and marginal_x hold, and each entropy is
+    _kernels._probs_entropy, as in infotheory.shannon_entropy. MI is
+    _kernels._xlog2_ratio_sum over the counts a row block at a time, with
+    each p = count / total formed as infotheory's joint would hold it, so
+    no n x n joint is built and the bits are those of mutual_information
+    over that joint. Raises ContainsZeroError if any cell is zero; use
+    ia_epsilon then.
 
     MI is a sum of p * log2(p / (p_x * p_y)) terms, so it cancels no
     order-one entropies near independence. None of it goes through the
     count identity ia_epsilon uses, so the two stay independent
-    computations. infotheory is loaded here, on the first call, so that a
-    caller of ia_epsilon alone never loads the distribution layer.
+    computations. Everything it calls is in _kernels, so it loads neither
+    infotheory nor dataclasses.
     """
-    import infoagree.infotheory as infotheory  # this form shows in python -X importtime
-
     if matrix.has_zero_cell():
         raise ContainsZeroError(
             "matrix contains zero cells; plain information agreement is "
             "undefined, use ia_epsilon"
         )
-    p_x = infotheory.marginal_x(matrix)
-    p_y = infotheory.marginal_y(matrix)
-    mi = infotheory._mutual_information_of_counts(matrix, p_y, p_x)
-    h_lo = min(infotheory.shannon_entropy(p_x), infotheory.shannon_entropy(p_y))
+    total = float(matrix.total)
+    p_x = matrix.col_sums().astype(np.float64) / total
+    p_y = matrix.row_sums().astype(np.float64) / total
+    mi = _kernels._finalize_mi(_kernels._xlog2_ratio_sum(matrix.counts, p_y, p_x, total=total))
+    h_lo = min(_kernels._probs_entropy(p_x), _kernels._probs_entropy(p_y))
     return _absorb_rounding(mi / h_lo)
 
 

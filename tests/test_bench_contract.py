@@ -10,10 +10,12 @@ import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 import infoagree
-from infoagree import cli, formats
+from infoagree import cli, formats, measure
+from infoagree.matrix import AgreementMatrix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
@@ -109,3 +111,16 @@ def test_traced_cli_run_records_every_ingest_layer(capsys, tmp_path):
         "formats.build_report",
         "formats.dump_json",
     } <= recorded
+
+
+def test_traced_ia_strict_records_the_kernel_calls():
+    # ia_strict's entropies reach xlog2_sum through the _kernels module attribute
+    m = AgreementMatrix(np.random.default_rng(300).integers(1, 10, size=(300, 300)))
+    tracer = SPANS.Tracer()
+    tracer.install(SPANS.SITES)
+    try:
+        tracer.run_op(0, lambda: measure.ia_strict(m))
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[row[0]] for row in tracer.rows}
+    assert "kernels.xlog2_sum" in recorded

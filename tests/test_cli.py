@@ -721,12 +721,18 @@ class TestRunExit:
             (["sweep", "m.csv"], 1, "error: [Errno 9] stdout is closed\n"),
             (["batch", "."], 1, "error: [Errno 9] stdout is closed\n"),
             (["compute", "--output", "out.json", "m.csv"], 0, ""),
+            # argparse prints to sys.stderr when sys.stdout is None: the text still arrives
+            (["--version"], 0, None),
+            (["--help"], 0, None),
         ],
-        ids=["compute", "compute-plain", "sweep", "batch", "compute-output"],
+        ids=["compute", "compute-plain", "sweep", "batch", "compute-output", "version", "help"],
     )
     def test_a_closed_stdout_is_bad_input(self, tmp_path, argv, code, err):
         # fd 1 is closed before the CLI's interpreter starts, so its sys.stdout is None
         (tmp_path / "m.csv").write_text("4,1\n2,5\n")
+        if err is None:  # what the same command prints to an open stdout
+            err = _python(["-m", "infoagree.cli", *argv], cwd=tmp_path).stdout
+            assert err.startswith(("infoagree ", "usage: infoagree"))
         closed = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
         done = _python(["-c", closed, "-m", "infoagree.cli", *argv], cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (code, "", err)

@@ -185,27 +185,26 @@ class TestIaStrict:
         monkeypatch.setattr(_kernels, "xlog2_sum_hist", forbidden)
         assert ia_strict(m) == expected
 
-    def test_goes_through_the_public_distributions(self, monkeypatch):
-        # looked up on the module at call time, so a wrapper there sees every call
+    def test_goes_through_the_kernels_alone(self, monkeypatch):
+        # looked up on _kernels at call time, so a wrapper there sees every call
         calls = []
-        for name in ("marginal_x", "marginal_y", "shannon_entropy"):
-            original = getattr(infotheory, name)
+        for name in ("_xlog2_ratio_sum", "_finalize_mi", "_probs_entropy"):
+            original = getattr(_kernels, name)
 
-            def spy(*args, _name=name, _original=original):
+            def spy(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(infotheory, name, spy)
+            monkeypatch.setattr(_kernels, name, spy)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("ia_strict must build no joint distribution")
+            raise AssertionError("ia_strict must not call the distribution layer")
 
-        # the mutual information comes from the counts, with no n x n joint
-        monkeypatch.setattr(infotheory, "joint", forbidden)
-        monkeypatch.setattr(infotheory, "mutual_information", forbidden)
+        for name in ("marginal_x", "marginal_y", "joint", "shannon_entropy", "mutual_information"):
+            monkeypatch.setattr(infotheory, name, forbidden)
         m = AgreementMatrix([[2, 1], [1, 2]])
         assert ia_strict(m) == pytest.approx(reference_ia_positive(m), abs=1e-12)
-        assert sorted(calls) == sorted(["marginal_x", "marginal_y"] + ["shannon_entropy"] * 2)
+        assert sorted(calls) == ["_finalize_mi", "_probs_entropy", "_probs_entropy", "_xlog2_ratio_sum"]
 
     @given(positive_matrices(max_cell=2**40))
     # several row blocks: 300 = 2 * 109 + 82 rows, the last block short, and

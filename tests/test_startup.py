@@ -1,8 +1,8 @@
 """Start-up: what each entry point loads, and the package's exports.
 
 The epsilon oracle and the distribution layer (infotheory) load only when a
-caller uses them: importing the package and the CLI's compute and batch
-load neither. The blocked CSV digit parser loads with the first CSV body
+caller uses them: importing the package, ia_strict and the CLI's compute
+and batch load neither. The blocked CSV digit parser loads with the first CSV body
 large enough for it, the one-pass validation with the first matrix large
 enough for it, and json with the first JSON document. The import-graph tests run fresh interpreters, so that
 the modules this test process has already imported hide nothing.
@@ -78,8 +78,9 @@ class TestImportGraph:
             ["-m", "infoagree.cli", "batch", "."],
             ["-m", "infoagree.cli", "--version"],
             ["-m", "infoagree.cli", "sweep", "--help"],
+            ["-c", "import infoagree as ia; ia.ia_strict(ia.AgreementMatrix([[4, 1], [1, 3]]))"],
         ],
-        ids=["import", "dir", "ia_epsilon", "compute", "batch", "version", "sweep-help"],
+        ids=["import", "dir", "ia_epsilon", "compute", "batch", "version", "sweep-help", "ia_strict"],
     )
     def test_loads_neither_the_oracle_nor_the_distributions(self, matrix_dir, args):
         loaded = _imported(args, cwd=matrix_dir)
@@ -110,8 +111,9 @@ class TestImportGraph:
             ["-m", "infoagree.cli", "--version"],
             ["-m", "infoagree.cli", "compute", "m.csv"],
             ["-m", "infoagree.cli", "batch", "."],
+            ["-c", "import infoagree as ia; ia.ia_strict(ia.AgreementMatrix([[4, 1], [1, 3]]))"],
         ],
-        ids=["import", "version", "compute", "batch"],
+        ids=["import", "version", "compute", "batch", "ia_strict"],
     )
     def test_no_dataclasses_outside_sweep(self, matrix_dir, args):
         # IaResult and MatrixDocument are named tuples; NumPy does not load it
@@ -135,14 +137,9 @@ class TestImportGraph:
             (["-c", "import infoagree; infoagree.sweep"], ORACLE, INFOTHEORY),
             (["-c", "from infoagree import check_convergence"], ORACLE, INFOTHEORY),
             (["-c", "import infoagree; infoagree.oracle"], ORACLE, INFOTHEORY),
-            (
-                ["-c", "import infoagree as ia; ia.ia_strict(ia.AgreementMatrix([[4, 1], [1, 3]]))"],
-                INFOTHEORY,
-                ORACLE,
-            ),
             (["-c", "import infoagree; infoagree.entropy_from_counts([1, 3])"], INFOTHEORY, ORACLE),
         ],
-        ids=["cli-sweep", "sweep", "from-import", "submodule", "ia_strict", "entropy_from_counts"],
+        ids=["cli-sweep", "sweep", "from-import", "submodule", "entropy_from_counts"],
     )
     def test_a_caller_that_uses_one_loads_it(self, matrix_dir, args, needed, not_needed):
         loaded = _imported(args, cwd=matrix_dir)
@@ -155,9 +152,8 @@ class TestImportGraph:
             (["-m", "infoagree.cli", "sweep", "m.csv"], ORACLE),
             (["-c", "import infoagree; infoagree.sweep"], ORACLE),
             (["-c", "import infoagree; infoagree.oracle"], ORACLE),
-            (["-c", "import infoagree as ia; ia.ia_strict(ia.AgreementMatrix([[4, 1], [1, 3]]))"], INFOTHEORY),
         ],
-        ids=["cli-sweep", "sweep", "submodule", "ia_strict"],
+        ids=["cli-sweep", "sweep", "submodule"],
     )
     def test_python_x_importtime_reports_a_load_on_first_use(self, matrix_dir, args, module):
         done = _python(["-X", "importtime", *args], cwd=matrix_dir)
