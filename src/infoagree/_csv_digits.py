@@ -1,17 +1,15 @@
-"""The blocked digit parser behind formats.parse_csv's large bodies.
+"""The blocked digit parser behind formats.parse_csv's large bodies, and
+where every CSV body ends.
 
 It converts a CSV body of ASCII digits, ",", blanks and "\n" to an (n, n)
 uint64 array with NumPy byte operations, a block of whole lines at a time,
-and writes each block's cells straight into the result. formats loads this
-module on the first body large enough to use it, so that a process that
-reads only small files does not compile it.
+and writes each block's cells straight into the result. It imports nothing
+from the package, so formats imports it at module level with no cycle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from infoagree.formats import _blank_run_start
 
 # a block: whole lines of about this many bytes, so that the temporaries
 # stay small beside the (n, n) result
@@ -21,6 +19,22 @@ _BLOCK_BYTES = 1 << 17
 _DIGIT_BYTES = np.array(
     [0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in range(9)], np.uint64
 )
+
+
+def _blank_run_start(text: str, start: int) -> int:
+    """Where the run of " ", "\t" and "\n" that ends text begins, or start
+    when it begins before start: the end of a CSV body for both array
+    converters. Slices of doubling length are stripped from the end, so a
+    long run costs no more than one pass, and a body that ends in a line of
+    digits one short slice."""
+    end, size = len(text), 64
+    while end > start:
+        lo = max(start, end - size)
+        kept = len(text[lo:end].rstrip(" \t\n"))
+        if kept:
+            return lo + kept
+        end, size = lo, 2 * size
+    return start
 
 
 def digit_counts(text: str, start: int = 0) -> np.ndarray | None:

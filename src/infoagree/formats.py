@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from infoagree import _csv_digits
 from infoagree import matrix as _matrix
 from infoagree.errors import InternalInvariantError, ParseError
 from infoagree.matrix import AgreementMatrix
@@ -70,9 +71,10 @@ def parse_csv(text: str, source_path: str = "<string>") -> MatrixDocument:
     ignored. Separator "," is fixed; no locale handling.
 
     Line ends are made "\n" here alone. The body after the label row, up to
-    its trailing run of spaces, tabs and "\n" (``_blank_run_start``), when
-    made only of ASCII digits, ",", spaces, tabs and "\n", with no empty
-    line, and forming a square, goes to an array converter by its size:
+    its trailing run of spaces, tabs and "\n"
+    (``_csv_digits._blank_run_start``), when made only of ASCII digits, ",",
+    spaces, tabs and "\n", with no empty line, and forming a square, goes to
+    an array converter by its size:
     - from 8 KiB (``_VECTOR_MIN_BYTES`` characters) up, the blocked digit
       parser (``_csv_digits``), which reads the body where it lies in the
       text, in blocks of whole lines of about 128 KiB, and writes their
@@ -119,12 +121,8 @@ def _square_counts(text: str, start: int) -> np.ndarray | None:
     """The body from start as a square uint64 array from the array converter
     its size picks, when it keeps parse_csv's body contract; else None."""
     if len(text) - start >= _VECTOR_MIN_BYTES:
-        # loaded on the first large body: compiled with this module, the
-        # parser would add about 2 ms to the start of every CLI process
-        import infoagree._csv_digits as _csv_digits
-
         return _csv_digits.digit_counts(text, start)
-    body = text[start : _blank_run_start(text, start)]
+    body = text[start : _csv_digits._blank_run_start(text, start)]
     # np.loadtxt would skip an empty line, which the per-field converter reports;
     # a line of spaces or tabs it rejects by itself
     if not body or body.startswith("\n") or "\n\n" in body:
@@ -142,22 +140,6 @@ def _square_counts(text: str, start: int) -> np.ndarray | None:
     except ValueError:  # an empty or spaced-out field, ragged rows, or a cell above 2**64 - 1
         return None
     return counts if counts.shape[0] == counts.shape[1] else None
-
-
-def _blank_run_start(text: str, start: int) -> int:
-    """Where the run of " ", "\t" and "\n" that ends text begins, or start
-    when it begins before start: the end of a CSV body for both array
-    converters. Slices of doubling length are stripped from the end, so a
-    long run costs no more than one pass, and a body that ends in a line of
-    digits one short slice."""
-    end, size = len(text), 64
-    while end > start:
-        lo = max(start, end - size)
-        kept = len(text[lo:end].rstrip(" \t\n"))
-        if kept:
-            return lo + kept
-        end, size = lo, 2 * size
-    return start
 
 
 def _csv_cells(lines: list[str], first_row: int) -> list[list[int]]:

@@ -7,6 +7,10 @@ to rater X; everything downstream assumes that orientation.
 
 Instances are immutable once constructed (the backing array is marked
 read-only), so they can be shared freely across threads.
+
+Both validation paths live here: whole-array reductions for a small matrix,
+and one pass over row blocks (_blocked_stats) for a large one. They share
+_cell_stats and _raise_first_negative.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from infoagree import _kernels
 from infoagree.errors import (
     AllZeroError,
     CountOverflowError,
@@ -33,7 +38,7 @@ _min = np.minimum.reduce
 _sum = np.add.reduce
 
 # A matrix of at least this many cells (n >= 512) is validated in one pass
-# over row blocks (_blocked_validation); below it, four whole-array
+# over row blocks (_blocked_stats); below it, four whole-array
 # reductions cost less than the loop. Set from timings of both at n = 400
 # to 1600.
 _BLOCKED_MIN_CELLS = 2**18
@@ -78,11 +83,7 @@ class AgreementMatrix:
         false, ``arr`` itself when it is already such an array."""
         n = arr.shape[0]
         if arr.size >= _BLOCKED_MIN_CELLS:
-            # loaded on the first large matrix: compiled with this module, the
-            # pass would add about 0.8 ms to every import of the package
-            from infoagree import _blocked_validation
-
-            stats = _blocked_validation.blocked_stats(arr, copy)
+            stats = _blocked_stats(arr, copy)
             arr, max_cell, row_sums, col_sums, positive_cells, total = stats
         else:
             # only a signed dtype can hold a negative cell; unsigned input skips the scan
@@ -208,6 +209,43 @@ def _cell_stats(arr: np.ndarray):
     col_sums = _sum(arr, axis=0)
     total = int(_sum(row_sums)) if max_cell <= U64_MAX // arr.size else _split_total(arr)
     return max_cell, row_sums, col_sums, int(np.count_nonzero(arr)), total
+
+
+def _blocked_stats(src: np.ndarray, copy: bool):
+    """The counts and statistics AgreementMatrix keeps for a square integer
+    array src, from one pass over row blocks of about _kernels._SLICE_CELLS
+    cells: (counts, max_cell, row_sums, col_sums, positive_cells, total), as
+    _cell_stats gives them for the whole counts. The counts are those
+    AgreementMatrix._adopt keeps; a negative cell raises NegativeCellError.
+
+    Each block is checked for a negative cell when src is signed, copied into
+    the counts when they are a copy, and reduced while it is in cache.
+    Integer sums are exact in any order, so every statistic equals its
+    whole-array reduction, and the first negative cell of the first block
+    that has one is the first in row-major order.
+    """
+    n = src.shape[0]
+    if copy or src.dtype != np.uint64 or not src.flags.c_contiguous:
+        counts = np.empty((n, n), np.uint64)
+    else:
+        counts = src
+    step = max(1, _kernels._SLICE_CELLS // n)
+    row_sums = np.empty(n, np.uint64)
+    col_sums = np.zeros(n, np.uint64)
+    max_cell = positive_cells = total = 0
+    for lo in range(0, n, step):
+        block = counts[lo : lo + step]
+        if counts is not src:
+            part = src[lo : lo + step]
+            if src.dtype.kind == "i":
+                _raise_first_negative(part, lo)
+            np.copyto(block, part, casting="unsafe")
+        top, row_sums[lo : lo + step], col_part, cells, part_total = _cell_stats(block)
+        np.add(col_sums, col_part, out=col_sums)
+        max_cell = max(max_cell, top)
+        positive_cells += cells
+        total += part_total
+    return counts, max_cell, row_sums, col_sums, positive_cells, total
 
 
 def _split_total(arr: np.ndarray) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import agreement_matrices
-from infoagree import _blocked_validation, _kernels, matrix
+from infoagree import _kernels, matrix
 from infoagree.errors import (
     AllZeroError,
     CountOverflowError,
@@ -64,6 +64,14 @@ class TestConstruction:
     def test_negative_cell_rejected(self):
         with pytest.raises(NegativeCellError):
             AgreementMatrix([[1, -2], [3, 4]])
+
+    @pytest.mark.parametrize("n", [3, 600], ids=["whole-array", "row-blocks"])
+    def test_negative_cell_is_named_by_its_row_in_the_matrix(self, n):
+        # at n = 600 row 300 lies in the sixth row block, which starts at row 270
+        cells = np.ones((n, n), np.int64)
+        cells[n // 2, 2] = -7
+        with pytest.raises(NegativeCellError, match=rf"^cell \[{n // 2}\]\[2\] is negative: -7$"):
+            AgreementMatrix(cells)
 
     def test_non_integer_cell_rejected(self):
         with pytest.raises(NonIntegerCellError):
@@ -412,13 +420,13 @@ class TestBlockedValidation:
     @pytest.mark.parametrize("n, blocked", [(400, False), (511, False), (512, True), (800, True)])
     def test_the_pass_takes_matrices_from_2_18_cells(self, monkeypatch, n, blocked):
         calls = []
-        real = _blocked_validation.blocked_stats
+        real = matrix._blocked_stats
 
         def recording(*args):
             calls.append(args[0].shape)
             return real(*args)
 
-        monkeypatch.setattr(_blocked_validation, "blocked_stats", recording)
+        monkeypatch.setattr(matrix, "_blocked_stats", recording)
         cells = np.random.default_rng(n).integers(0, 10, size=(n, n)).astype(np.uint64)
         m = AgreementMatrix(cells)
         assert calls == ([(n, n)] if blocked else [])

@@ -218,6 +218,10 @@ class TestIaStrict:
         assert ia_strict(m) == measure._absorb_rounding(mi / h_lo)
 
     def test_value_does_not_depend_on_the_blas_thread_count(self):
+        # ia_strict sums its n = 800 cells in row blocks and its marginals are
+        # 800 long, so no vector here reaches ddot's threaded path (about
+        # 10 000 entries): this passes while ia_epsilon's bits move with the
+        # thread count (test_ia_epsilon_bits_do_not_depend_on_the_blas_thread_count)
         script = (
             "import numpy as np\n"
             "from infoagree.matrix import AgreementMatrix\n"
@@ -225,17 +229,48 @@ class TestIaStrict:
             "counts = np.random.default_rng(3).integers(1, 10, size=(800, 800))\n"
             "print(repr(ia_strict(AgreementMatrix(counts))))\n"
         )
-        src = os.path.dirname(os.path.dirname(infotheory.__file__))
-        values = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            done = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                check=True,
-            )
-            values.append(done.stdout)
+        values = _stdout_with_1_and_2_blas_threads(script)
         assert values[0] == values[1]
+
+
+def _stdout_with_1_and_2_blas_threads(script: str) -> list[str]:
+    """The stdout of ``python -c script`` in a fresh process with one BLAS
+    thread, then with two."""
+    src = os.path.dirname(os.path.dirname(infotheory.__file__))
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        values.append(done.stdout)
+    return values
+
+
+# xlog2_sum's ddot is threaded above about 10 000 entries, and its sum then
+# depends on the thread count (ROADMAP item 3). Strict, as _DOMINANT_CELL_DEFECT:
+# the fix fails this pin until it drops the mark.
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="threaded ddot in _kernels.xlog2_sum (ROADMAP item 3)",
+)
+def test_ia_epsilon_bits_do_not_depend_on_the_blas_thread_count():
+    # per-cell route, 160 000 cells; seeds 0 and 4 give the same bits today
+    script = (
+        "import numpy as np\n"
+        "from infoagree.matrix import AgreementMatrix\n"
+        "from infoagree.measure import ia_epsilon\n"
+        "for s in (1, 2, 3, 5):\n"
+        "    counts = np.random.default_rng(s).integers(0, 10**7 + 1, (400, 400))\n"
+        "    r = ia_epsilon(AgreementMatrix(counts))\n"
+        "    print(s, r.value.hex(), r.h_xy.hex())\n"
+    )
+    values = _stdout_with_1_and_2_blas_threads(script)
+    assert values[0] == values[1]
 
 
 class TestIaEpsilonExamples:

@@ -1,14 +1,18 @@
-"""Start-up: what each entry point loads, and the package's exports.
+"""Start-up: what each entry point loads, the package's import graph, and
+its exports.
 
 The epsilon oracle and the distribution layer (infotheory) load only when a
 caller uses them: importing the package, ia_strict and the CLI's compute
-and batch load neither. The blocked CSV digit parser loads with the first CSV body
-large enough for it, the one-pass validation with the first matrix large
-enough for it, and json with the first JSON document. The import-graph tests run fresh interpreters, so that
-the modules this test process has already imported hide nothing.
+and batch load neither, and json loads with the first JSON document. Those
+are the only late loads: every other package module is imported at module
+level, and the package's modules import one another without a cycle. The
+tests of what loads run fresh interpreters, so that the modules this test
+process has already imported hide nothing; the import-graph tests read the
+package's source.
 """
 
 import ast
+import graphlib
 import importlib
 import json
 import os
@@ -20,11 +24,10 @@ import pytest
 import infoagree
 import infoagree.cli
 
-SRC = os.path.dirname(os.path.dirname(infoagree.__file__))
+PACKAGE = os.path.dirname(infoagree.__file__)
+SRC = os.path.dirname(PACKAGE)
 SPANS = os.path.join(os.path.dirname(SRC), "perfbench", "spans.py")
 ORACLE, INFOTHEORY = "infoagree.oracle", "infoagree.infotheory"
-DIGITS = "infoagree._csv_digits"
-BLOCKED = "infoagree._blocked_validation"
 
 
 def _python(args, cwd=None) -> subprocess.CompletedProcess:
@@ -87,12 +90,6 @@ class TestImportGraph:
         assert {"infoagree.measure", "infoagree._kernels"} <= loaded
         assert not loaded & {ORACLE, INFOTHEORY}
 
-    def test_only_a_large_csv_body_loads_the_digit_parser(self, matrix_dir):
-        for args in (["compute", "m.csv"], ["batch", "."]):
-            assert DIGITS not in _imported(["-m", "infoagree.cli", *args], cwd=matrix_dir)
-        (matrix_dir / "large.csv").write_text("".join([",".join(["1"] * 100) + "\n"] * 100))
-        assert DIGITS in _imported(["-m", "infoagree.cli", "compute", "large.csv"], cwd=matrix_dir)
-
     @pytest.mark.parametrize(
         "argv", [["--version"], ["compute", "m.csv"], ["batch", "."]], ids=["version", "compute", "batch"]
     )
@@ -120,11 +117,6 @@ class TestImportGraph:
         assert _imported(args, cwd=matrix_dir, package="dataclasses") == set()
         loaded = _imported(["-m", "infoagree.cli", "sweep", "m.csv"], cwd=matrix_dir, package="dataclasses")
         assert loaded == {"dataclasses"}
-
-    @pytest.mark.parametrize("n, loaded", [(511, False), (512, True)])
-    def test_only_a_large_matrix_loads_the_blocked_validation(self, n, loaded):
-        code = f"import numpy as np, infoagree as ia; ia.AgreementMatrix(np.ones(({n}, {n}), np.int64))"
-        assert (BLOCKED in _imported(["-c", code])) is loaded
 
     @pytest.mark.parametrize("verb", ["--version", "--help"])
     def test_cli_help_and_version_still_load_the_ingest_and_the_closed_form(self, verb):
@@ -160,6 +152,57 @@ class TestImportGraph:
         assert done.returncode == 0, done.stderr
         reported = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if "|" in line]
         assert module in reported
+
+
+def _imports(node: ast.AST, in_function: bool = False):
+    """(statement, whether a function holds it) for each import statement under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, in_function
+        yield from _imports(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _package_imports() -> dict[str, set[tuple[str, bool]]]:
+    """Each module of the package, read from its source, with the package
+    modules it imports: {module: {(imported module, whether a function holds
+    the import), ...}}. A name imported from the package that is not a
+    submodule is an import of the package itself."""
+    files = {
+        "infoagree" if name == "__init__.py" else f"infoagree.{name[:-3]}": name
+        for name in os.listdir(PACKAGE)
+        if name.endswith(".py")
+    }
+    graph = {}
+    for module, name in files.items():
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        graph[module] = set()
+        for stmt, in_function in _imports(tree):
+            if isinstance(stmt, ast.Import):
+                targets = [alias.name for alias in stmt.names]
+            else:
+                assert stmt.level == 0, f"{module} has a relative import"
+                targets = [f"{stmt.module}.{alias.name}" for alias in stmt.names]
+                targets = [t if t in files else stmt.module for t in targets]
+            graph[module] |= {(t, in_function) for t in targets if t in files}
+    return graph
+
+
+class TestPackageImports:
+    def test_the_modules_import_one_another_without_a_cycle(self):
+        graph = {module: {t for t, _ in edges} for module, edges in _package_imports().items()}
+        assert "infoagree._csv_digits" in graph["infoagree.formats"]
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError as exc:
+            pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+    def test_only_the_oracle_and_the_distributions_are_imported_in_a_function(self):
+        # every other late import would only skip compiling a module, which
+        # an installed package with cached bytecode does not pay
+        late = {(module, t) for module, edges in _package_imports().items() for t, inner in edges if inner}
+        assert ("infoagree.cli", ORACLE) in late
+        assert sorted(edge for edge in late if edge[1] not in {ORACLE, INFOTHEORY}) == []
 
 
 class TestExports:
