@@ -209,23 +209,140 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    names = sorted(
-        name
-        for name in os.listdir(args.directory)
+    paths = [
+        os.path.join(args.directory, name)
+        for name in sorted(os.listdir(args.directory))
         if name.lower().endswith((".csv", ".json"))
-    )
+    ]
+    workers = _batch_workers(len(paths))
+    if workers == 1:
+        text, code = _batch_records(paths, args.format)
+    else:
+        text, code = _batch_forked(paths, args.format, workers)
+    _write_output(text, args.output)
+    return code
+
+
+def _batch_records(paths: list[str], fmt: str | None) -> tuple[str, int]:
+    """One JSON line per file, and the gravest exit code among them."""
     lines = []
     code = EXIT_OK
-    for name in names:
-        path = os.path.join(args.directory, name)
+    for path in paths:
         try:
-            record = build_report(*_measure(path, args.format), version=__version__)
+            record = build_report(*_measure(path, fmt), version=__version__)
         except Exception as exc:  # reported inline, so the other files keep their records
             record = error_record(path, exc)
             code = max(code, _exit_code(exc))
         lines.append(dump_json(record, indent=None))
-    _write_output("".join(line + "\n" for line in lines), args.output)
-    return code
+    return "".join(line + "\n" for line in lines), code
+
+
+# the fewest files a batch worker takes. A fork round trip alone takes about
+# 1.6 ms, but a child's first writes to the memory it shares with its parent
+# cost more: on 2 vCPUs, two workers lost to one at 64 files each and won at
+# 128 (BENCH_27.json's sweep)
+_MIN_FILES_PER_WORKER = 128
+
+
+def _batch_workers(files: int) -> int:
+    """How many processes share a batch of ``files`` files: one per CPU this
+    process may run on, where os.sched_getaffinity tells (Linux), and at most
+    one per _MIN_FILES_PER_WORKER files. Elsewhere, while a profiler or trace
+    hook is set (so that it sees every file), or while another thread runs
+    (whose locks a forked child could find held), one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or _hook_is_set() or _other_threads_run():
+        return 1
+    return max(1, min(len(affinity(0)), files // _MIN_FILES_PER_WORKER))
+
+
+def _batch_forked(paths: list[str], fmt: str | None, workers: int) -> tuple[str, int]:
+    """_batch_records over ``workers`` contiguous slices of paths: this
+    process takes the first, and a forked child each other one. The text
+    joins the slices' texts in order, so it and the code are those of one
+    _batch_records call. If a fork fails, this process also takes the files
+    from that slice on. A child that fails, dies or sends a short message
+    raises InternalInvariantError. Every way out reaps every child: on an
+    exception, after killing those still running."""
+    bounds = [len(paths) * i // workers for i in range(workers + 1)]
+    children = []  # (pid, read end of its pipe, its slice), in listing order
+    rest = len(paths)  # where the files that no child takes begin
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            try:
+                pid, fd = _fork_worker(paths[lo:hi], fmt)
+            except OSError:  # no process to spare: this one takes the rest
+                rest = lo
+                break
+            children.append((pid, fd, (lo, hi)))
+        text, code = _batch_records(paths[: bounds[1]], fmt)
+        texts = [text]
+        while children:
+            pid, fd, (lo, hi) = children[0]
+            message = _read_all(fd)
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(fd)
+            sent = len(message) - 9  # the text's bytes, past the code and the length
+            if status != 0 or sent < 0 or int.from_bytes(message[1:9], "little") != sent:
+                returned = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
+                ended = f"died of signal {-returned}" if returned < 0 else f"exited with {returned}"
+                raise InternalInvariantError(
+                    f"the batch worker for files {lo + 1}-{hi} of {len(paths)} {ended} "
+                    f"after sending {len(message)} bytes"
+                )
+            texts.append(message[9:].decode("utf-8", "surrogatepass"))
+            code = max(code, message[0])
+        text, rest_code = _batch_records(paths[rest:], fmt)
+        texts.append(text)
+        return "".join(texts), max(code, rest_code)
+    finally:
+        if children:
+            import signal  # only this way out needs it
+
+            for pid, fd, _ in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+                os.close(fd)
+
+
+def _fork_worker(paths: list[str], fmt: str | None) -> tuple[int, int]:
+    """Fork a child that runs _batch_records on paths and writes to a pipe
+    its exit code as one byte, its text's length in UTF-8 as 8 bytes and
+    the text; (its pid, the pipe's read end). The child never writes to
+    sys.stdout and never returns: it ends by os._exit, with status 0 once
+    the whole message is written and 1 on any exception."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            text, code = _batch_records(paths, fmt)
+            data = text.encode("utf-8", "surrogatepass")
+            message = memoryview(bytes([code]) + len(data).to_bytes(8, "little") + data)
+            while message:
+                message = message[os.write(w, message) :]
+            os._exit(0)
+        finally:  # whatever was raised, the child ends here
+            os._exit(1)
+    os.close(w)
+    return pid, r
+
+
+def _read_all(fd: int) -> bytes:
+    """Every byte a pipe's read end yields until end of file."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def _epsilon_grid(eps_from: float, eps_to: float, steps: int) -> np.ndarray:
@@ -318,15 +435,25 @@ def _exit_is_observed() -> bool:
     """Whether anything would act on the interpreter's teardown: a hook (a
     profiler reports after the module returns), an interactive session to
     come or another live thread, which the interpreter waits for."""
-    if sys.gettrace() is not None or sys.getprofile() is not None:
-        return True
-    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile, coverage
-    if monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)):
+    if _hook_is_set():
         return True
     if sys.flags.inspect or os.environ.get("PYTHONINSPECT"):
         return True
-    count = getattr(_thread, "_count", None)  # live threads other than this one
+    return _other_threads_run()
+
+
+def _other_threads_run() -> bool:
+    """Whether a thread other than this one is alive, or this cannot be told."""
+    count = getattr(_thread, "_count", None)
     return count is None or count() > 0
+
+
+def _hook_is_set() -> bool:
+    """Whether a trace or profile hook is set, as cProfile and coverage set."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile, coverage
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 _BLOCKED = "tests/test_matrix.py::TestBlockedValidation"
 _PARSE_CSV = "tests/test_formats.py::TestParseCsv"
+_WORKERS = "tests/test_cli.py::TestBatchWorkers"
 
 MUTANTS = (
     Mutant(
@@ -81,6 +82,27 @@ MUTANTS = (
         "np.add.reduce(hist * table[0, :size] * table[1, :size])",
         "(hist * table[0, :size]) @ table[1, :size]",
         ("tests/test_kernels.py::test_hist_kernel_table_matches_per_call_log2",),
+    ),
+    Mutant(
+        "batch-slice-bound-off-by-one",
+        "src/infoagree/cli.py",
+        "_fork_worker(paths[lo:hi], fmt)",
+        "_fork_worker(paths[lo + 1 : hi], fmt)",
+        (f"{_WORKERS}::test_same_bytes_and_exit_code_as_one_worker",),
+    ),
+    Mutant(
+        "batch-child-code-ignored",
+        "src/infoagree/cli.py",
+        "code = max(code, message[0])",
+        "code = max(code, EXIT_OK)",
+        (f"{_WORKERS}::test_internal_error_in_a_child_outranks_bad_input_in_this_process",),
+    ),
+    Mutant(
+        "batch-child-status-ignored",
+        "src/infoagree/cli.py",
+        "if status != 0 or sent < 0",
+        "if sent < 0",
+        (f"{_WORKERS}::test_a_child_that_exits_nonzero_fails_the_batch",),
     ),
 )
 

@@ -1,10 +1,15 @@
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
+import numpy as np
 import pytest
 
 import infoagree.cli
@@ -839,3 +844,253 @@ class TestRunFallbacksInProcess:
     def test_a_missing_private_function(self, monkeypatch, entry, module, name):
         monkeypatch.delattr(getattr(infoagree.cli, module), name, raising=False)
         assert (self._run(), entry) == (3, [])
+
+
+# --- batch over forked workers --------------------------------------------------
+
+_MIN_FILES = infoagree.cli._MIN_FILES_PER_WORKER
+
+# one file of each way a batch file can fail, and files that take less common
+# routes, by the end of their names
+_SPECIAL_FILES = {
+    "parse.csv": b"1,x\n2,3\n",
+    "not-square.csv": b"1,2,3\n4,5,6\n",
+    "all-zero.csv": b"0,0\n0,0\n",
+    "negative.csv": b"1,-2\n3,4\n",
+    "overflow.csv": b"18446744073709551615,1\n1,1\n",
+    "not-utf8.csv": b"\xff1,2\n3,4\n",
+    "bom.csv": b"\xef\xbb\xbf1,2\n3,4\n",
+    "labelled.json": b'{"labels": ["pos", "neg"], "matrix": [[2, 1], [0, 1]]}',
+    # more than 10 000 positive cells: the per-cell route and a threaded ddot
+    "large.csv": "".join(
+        ",".join(map(str, row)) + "\n"
+        for row in np.random.default_rng(27).integers(1, 10**7 + 1, (120, 120)).tolist()
+    ).encode(),
+    "x.csv": None,  # a directory
+}
+
+
+def _batch_corpus(directory, fillers: int) -> None:
+    """``fillers`` small matrix files, and spread among them in the listing,
+    one entry of each kind in _SPECIAL_FILES."""
+    for i in range(fillers):
+        (directory / f"f{i:04d}a.csv").write_text(f"{i % 7 + 1},1\n2,{i % 5 + 1}\n")
+    for k, (name, data) in enumerate(_SPECIAL_FILES.items()):
+        path = directory / f"f{k * fillers // len(_SPECIAL_FILES):04d}b-{name}"
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(infoagree.cli, "_batch_workers", lambda files: workers)
+
+
+def _assert_no_child_left(pid: int) -> None:
+    """This is still the test's own process, and it has no child, exited or not."""
+    assert os.getpid() == pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _nine_files(directory) -> None:
+    # with three workers, a0-a2 are this process's slice and a3-a8 two children's
+    for i in range(9):
+        (directory / f"a{i}.csv").write_text("1,1\n1,1\n")
+
+
+class TestBatchWorkers:
+    """batch over forked workers gives the bytes and exit code of one process."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("fillers", [1, _MIN_FILES - 1, _MIN_FILES, 2 * _MIN_FILES + 1])
+    def test_same_bytes_and_exit_code_as_one_worker(self, capsys, tmp_path, monkeypatch, fillers, workers):
+        pid = os.getpid()
+        corpus = tmp_path / "in"
+        corpus.mkdir()
+        _batch_corpus(corpus, fillers)
+        outcomes = []
+        for forced in (1, workers):
+            _force_workers(monkeypatch, forced)
+            printed = run(capsys, "batch", str(corpus))
+            _assert_no_child_left(pid)
+            output = tmp_path / f"out{forced}.jsonl"
+            code = main(["batch", "--output", str(output), str(corpus)])
+            _assert_no_child_left(pid)
+            outcomes.append((printed, code, output.read_bytes()))
+        assert outcomes[0] == outcomes[1]
+        (code, out, err), _, written = outcomes[0]
+        assert (code, err) == (1, "")
+        assert written == out.encode()
+        assert len(out.splitlines()) == fillers + len(_SPECIAL_FILES)
+
+    @pytest.mark.parametrize(
+        "files, workers", [(0, 1), (_MIN_FILES - 1, 1), (2 * _MIN_FILES - 1, 1), (2 * _MIN_FILES, 2), (10**6, 4)]
+    )
+    def test_one_worker_per_cpu_and_per_minimum_of_files(self, monkeypatch, files, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert infoagree.cli._batch_workers(files) == workers
+
+    def test_one_worker_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert infoagree.cli._batch_workers(10**6) == 1
+
+    def test_one_worker_under_a_profiler(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        sys.setprofile(lambda *args: None)
+        try:
+            workers = infoagree.cli._batch_workers(10**6)
+        finally:
+            sys.setprofile(None)
+        assert workers == 1
+
+    def test_one_worker_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            workers = infoagree.cli._batch_workers(10**6)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert workers == 1
+
+    @pytest.mark.parametrize("verb, case, code, err", [row for row in _EXIT_CODE_CONTRACT if row[0] == "batch"])
+    def test_exit_code_contract(self, capsys, tmp_path, monkeypatch, verb, case, code, err):
+        # m.csv is last in the listing: the last child's slice
+        _nine_files(tmp_path)
+        (tmp_path / "m.csv").write_text("0,0\n0,0\n" if case == "bad input" else "4,0\n6,0\n")
+        if case in _FORCED:
+
+            def broken(matrix):
+                if matrix.total == 10:
+                    raise _FORCED[case]("forced for the test")
+                return _real_ia_epsilon(matrix)
+
+            monkeypatch.setattr(infoagree.cli, "ia_epsilon", broken)
+        _force_workers(monkeypatch, 3)
+        got_code, out, got_err = run(capsys, verb, str(tmp_path))
+        _assert_no_child_left(os.getpid())
+        assert (got_code, got_err) == (code, err)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 10
+        assert ["error" in record for record in records] == [False] * 9 + [case != "ok"]
+
+    def test_internal_error_in_a_child_exits_2_and_keeps_records(self, capsys, tmp_path, monkeypatch):
+        _nine_files(tmp_path)
+        (tmp_path / "b.csv").write_text("3,1\n0,1\n")
+        monkeypatch.setattr(infoagree.cli, "ia_epsilon", _broken_on_total_5)
+        _force_workers(monkeypatch, 3)
+        code, out, _ = run(capsys, "batch", str(tmp_path))
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 10
+        assert all("ia" in record for record in records[:-1])
+        assert records[-1]["error"]["type"] == "InternalInvariantError"
+
+    def test_internal_error_in_a_child_outranks_bad_input_in_this_process(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        _nine_files(tmp_path)
+        (tmp_path / "a.csv").write_text("0,0\n0,0\n")
+        (tmp_path / "b.csv").write_text("3,1\n0,1\n")
+        monkeypatch.setattr(infoagree.cli, "ia_epsilon", _broken_on_total_5)
+        _force_workers(monkeypatch, 3)
+        code, out, _ = run(capsys, "batch", str(tmp_path))
+        assert code == 2
+        types = [json.loads(line).get("error", {}).get("type") for line in out.splitlines()]
+        assert types == ["AllZeroError"] + [None] * 9 + ["InternalInvariantError"]
+
+    def test_a_failed_fork_leaves_the_rest_to_this_process(self, capsys, tmp_path, monkeypatch):
+        pid = os.getpid()
+        _batch_corpus(tmp_path, 20)
+        _force_workers(monkeypatch, 1)
+        expected = run(capsys, "batch", str(tmp_path))
+        real_fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        _force_workers(monkeypatch, 3)
+        assert run(capsys, "batch", str(tmp_path)) == expected
+        _assert_no_child_left(pid)
+        assert len(forks) == 1
+
+    def _fails_in_a_child(self, capsys, tmp_path, monkeypatch, message):
+        _force_workers(monkeypatch, 3)
+        code, out, err = run(capsys, "batch", str(tmp_path))
+        _assert_no_child_left(os.getpid())
+        assert (code, out) == (2, "")
+        assert err.startswith(f"internal error: the batch worker for files {message}")
+
+    def test_a_child_killed_by_a_signal_fails_the_batch(self, capsys, tmp_path, monkeypatch):
+        pid, real = os.getpid(), infoagree.cli.load_document
+        _nine_files(tmp_path)
+
+        def killed_on_a8(path, fmt):
+            if os.getpid() != pid and path.endswith("a8.csv"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(path, fmt)
+
+        monkeypatch.setattr(infoagree.cli, "load_document", killed_on_a8)
+        self._fails_in_a_child(capsys, tmp_path, monkeypatch, f"7-9 of 9 died of signal {int(signal.SIGKILL)} after sending 0 bytes")
+
+    def test_a_child_that_exits_nonzero_fails_the_batch(self, capsys, tmp_path, monkeypatch):
+        # the children send their whole message and then exit with 3
+        pid, real_exit = os.getpid(), os._exit
+        _nine_files(tmp_path)
+        monkeypatch.setattr(os, "_exit", lambda status: real_exit(status if os.getpid() == pid else 3))
+        self._fails_in_a_child(capsys, tmp_path, monkeypatch, "4-6 of 9 exited with 3 after sending")
+
+    def test_a_child_that_sends_a_short_message_fails_the_batch(self, capsys, tmp_path, monkeypatch):
+        # the children report every byte as written and exit with 0, but the last one is lost
+        pid, real_write = os.getpid(), os.write
+        _nine_files(tmp_path)
+
+        def write(fd, data):
+            if os.getpid() == pid:
+                return real_write(fd, data)
+            return real_write(fd, bytes(data)[:-1]) + 1
+
+        monkeypatch.setattr(os, "write", write)
+        self._fails_in_a_child(capsys, tmp_path, monkeypatch, "4-6 of 9 exited with 0 after sending")
+
+    def test_an_interrupt_in_this_process_kills_and_reaps_the_children(self, capsys, tmp_path, monkeypatch):
+        pid, real = os.getpid(), infoagree.cli.load_document
+        _nine_files(tmp_path)
+
+        def interrupted(path, fmt):
+            if os.getpid() != pid:
+                time.sleep(60)  # the children are still running when the interrupt comes
+            elif path.endswith("a1.csv"):
+                raise KeyboardInterrupt
+            return real(path, fmt)
+
+        monkeypatch.setattr(infoagree.cli, "load_document", interrupted)
+        _force_workers(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["batch", str(tmp_path)])
+        assert time.monotonic() - start < 30
+        _assert_no_child_left(pid)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="batch forks only where it may run on 2 or more CPUs",
+    )
+    def test_no_fork_warning_as_main(self, capsys, tmp_path, monkeypatch):
+        # Python 3.12+ warns when a process with other threads forks, and
+        # shows that warning by default in __main__
+        _batch_corpus(tmp_path, 2 * _MIN_FILES)
+        done = _python(["-W", "error::DeprecationWarning", "-m", "infoagree.cli", "batch", str(tmp_path)])
+        _force_workers(monkeypatch, 1)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, "batch", str(tmp_path))
+        assert done.stderr == ""
