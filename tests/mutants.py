@@ -70,11 +70,53 @@ MUTANTS = (
         (f"{_PARSE_CSV}::test_trailing_blank_lines_take_the_array_path",),
     ),
     Mutant(
+        # only blank-spaced single-digit bodies reach this gather: the others
+        # take the 16-bit branch
         "digits-single-digit-off-by-one",
         "src/infoagree/_csv_digits.py",
         "buf[23:][stops]",
         "buf[24:][stops]",
-        (f"{_PARSE_CSV}::test_large_labelled_csv_takes_the_array_path",),
+        (f"{_PARSE_CSV}::test_blanks_around_cells_take_the_array_path",),
+    ),
+    Mutant(
+        "digits-16-bit-bound-off-by-one",
+        "src/infoagree/_csv_digits.py",
+        "digits.max() <= 9",
+        "digits.max() <= 10",
+        (f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",),
+    ),
+    Mutant(
+        # no line end matches its word, so the branch is dead and the
+        # separator search reads every body: caught only by the spy
+        "digits-16-bit-last-column-word-dropped",
+        "src/infoagree/_csv_digits.py",
+        'zeros[-1] = ord("0") | ord("\\n") << 8',
+        "pass",
+        (f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",),
+    ),
+    Mutant(
+        "digits-16-bit-unfilled-cells-guard-dropped",
+        "src/infoagree/_csv_digits.py",
+        "if not rest and filled + rows * n <= cells.size:",
+        "if not rest:",
+        (
+            f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",
+            "tests/test_formats.py::TestCsvFastPathEquivalence::test_digit_parser_reads_the_body_after_start",
+        ),
+    ),
+    Mutant(
+        "digits-line-ends-every-n-fields-dropped",
+        "src/infoagree/_csv_digits.py",
+        "or not ends_line[n - 1 :: n].all()",
+        "or False",
+        (f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",),
+    ),
+    Mutant(
+        "digits-line-count-dropped",
+        "src/infoagree/_csv_digits.py",
+        "or lines * n != fields",
+        "or False",
+        (f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",),
     ),
     Mutant(
         "hist-kernel-blas-dot",

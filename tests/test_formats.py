@@ -220,6 +220,80 @@ class TestParseCsv:
         assert np.array_equal(doc.matrix.counts, counts)
         assert peak <= counts.size * 8 + len(text)
 
+    @pytest.mark.parametrize(
+        "case, skips",
+        [
+            ("labelled", True),
+            ("crlf", True),
+            ("no-final-line-end", True),
+            ("line-blocks", True),
+            ("multi-digit", False),
+            ("blank-spaced", False),
+            ("digit-and-comma-swapped", False),
+            ("colon-for-a-digit", False),
+            ("slash-for-a-digit", False),
+            ("line-end-and-comma-swapped", False),
+            ("comma-made-a-line-end", False),
+            ("extra-line", False),
+        ],
+    )
+    def test_single_digit_bodies_take_the_16_bit_branch(self, monkeypatch, case, skips):
+        """A body of lines of n single digits with no blanks is read as
+        16-bit words, with no separator search (np.flatnonzero) in any
+        block; a body one edit away, which keeps its size where it can,
+        is searched. Either way the outcome is the reference parser's."""
+
+        class SearchCounter:
+            searches = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def flatnonzero(self, a):
+                self.searches += 1
+                return np.flatnonzero(a)
+
+        spy = SearchCounter()
+        monkeypatch.setattr(_csv_digits, "np", spy)
+        if case == "line-blocks":
+            monkeypatch.setattr(_csv_digits, "_BLOCK_BYTES", 1)
+        text = _single_digit_csv(case)
+        assert len(text) >= formats._VECTOR_MIN_BYTES
+        outcome = _outcome(parse_csv, text)
+        assert outcome == _outcome(reference_parse_csv, text)
+        assert (spy.searches == 0) == skips
+        if skips:
+            assert outcome[-1] == _single_digit_counts().tolist()
+
+
+def _single_digit_counts(n=300):
+    return np.random.default_rng(0).integers(0, 10, size=(n, n))
+
+
+def _single_digit_csv(case):
+    """A labelled 300x300 CSV of counts 0..9 with "\n" line ends, or as case
+    edits it: its line ends, or one change to the body."""
+    n = 300
+    rows = [",".join(map(str, row)) for row in _single_digit_counts(n).tolist()]
+    if case == "multi-digit":
+        rows[150] = "10" + rows[150][1:]
+    elif case == "blank-spaced":
+        rows = [row.replace(",", ", ") for row in rows]
+    elif case == "digit-and-comma-swapped":  # "1,2,3" -> "12,,3"
+        rows[150] = rows[150][0] + rows[150][2] + rows[150][1] + rows[150][3:]
+    elif case in ("colon-for-a-digit", "slash-for-a-digit"):  # the bytes around "0".."9"
+        rows[150] = rows[150][:-1] + (":" if case == "colon-for-a-digit" else "/")
+    elif case == "line-end-and-comma-swapped":  # one line of n + 1 fields, then one of n - 1
+        rows[150] += "," + rows[151][0]
+        rows[151] = rows[151][2:]
+    elif case == "comma-made-a-line-end":  # n + 1 lines of n * n fields in all
+        rows[150] = rows[150][:299] + "\n" + rows[150][300:]
+    elif case == "extra-line":
+        rows.append(rows[0])
+    eol = "\r\n" if case == "crlf" else "\n"
+    text = ",".join(f"c{j}" for j in range(n)) + eol + eol.join(rows)
+    return text if case == "no-final-line-end" else text + eol
+
 
 def _check_array_path(monkeypatch, eol, label_eol=None, sep=",", tail="", label="c"):
     """A labelled 300x300 CSV with the given line ends (``label_eol`` after
@@ -365,6 +439,9 @@ class TestCsvFastPathEquivalence:
             pytest.param("1,2,3\n4,5\n6,7,8,9", id="ragged-rows-of-a-square-total"),
             pytest.param("1,2\n3\n4", id="two-short-rows-for-one"),
             pytest.param("1,2\n3x4", id="letter-between-digits"),
+            pytest.param("1,2\n3,:", id="colon-for-a-digit"),
+            pytest.param("1,/\n3,4", id="slash-for-a-digit"),
+            pytest.param("a,b\n:,2\n3,4\n", id="colon-for-a-digit-after-labels"),
         ],
     )
     def test_pinned_cases(self, text):
@@ -416,7 +493,7 @@ class TestCsvFastPathEquivalence:
 
     @given(
         st.text(
-            alphabet="0123456789,\n\r -_a\uff15\v\f\x1c\x1f\x85\u2028\t", max_size=40
+            alphabet="0123456789,\n\r -_a\uff15\v\f\x1c\x1f\x85\u2028\t/:", max_size=40
         )
     )
     def test_arbitrary_texts(self, text):
