@@ -21,17 +21,20 @@ differences (the sums of the other lines' and the other cells' counts), so
 nothing cancels: each entropy is accurate relative to its own size, however
 small. Nothing here forms H(X) + H(Y) - H(XY).
 
-The A_y are the only work over the n**2 cells, done once per matrix; each
-epsilon then costs O(n). They take one of two routes, chosen by the
-largest cell, top:
+The z_y and the A_y are the only work over the n**2 cells, done once per
+matrix; each epsilon then costs O(n). One pass over the cells counts the
+z_y of both raters. The A_y are summed only for the rater H(lo | hi)
+conditions on, the first time an epsilon reads them, and kept for the rest
+of the grid: a sweep whose hi rater changes within the grid sums both
+raters', any other sums one rater's. They take one of two routes, chosen by
+the largest cell, top:
 
-- Histogram route, when the lines' count histograms, one (n, top + 1)
-  table for the rows and one for the columns, are at most a quarter of the
-  matrix: 4 * (top + 1) <= n. With h[y, k] the number of cells equal to k
-  in line y, A_y = sum over k >= 1 of h[y, k] * k * log1p((r_y - k) / k),
-  one log1p per table entry. h * k and r_y - k are exact, as r_y < n**2.
-  np.bincount counts the tables _BLOCK_CELLS (2**15) cells at a time,
-  through one reused int64 buffer.
+- Histogram route, when the lines' count histogram, an (n, top + 1) table,
+  is at most a quarter of the matrix: 4 * (top + 1) <= n. With h[y, k] the
+  number of cells equal to k in line y, A_y = sum over k >= 1 of
+  h[y, k] * k * log1p((r_y - k) / k), one log1p per table entry. h * k and
+  r_y - k are exact, as r_y < n**2. np.bincount counts the rater's table
+  _BLOCK_CELLS (2**15) cells at a time, through one reused int64 buffer.
 - Per-cell route, otherwise: one log1p per cell, a block of whole rows of
   about _BLOCK_CELLS cells at a time, through three reused float64 block
   buffers.
@@ -221,7 +224,8 @@ def _check_epsilon(eps: float) -> None:
 class _Lines:
     """The cells grouped by the lines of one rater: rows for Y, columns for X.
 
-    own: the sum over lines of A_y (module docstring), in nats.
+    own: the sum over lines of A_y (module docstring), in nats, built by the
+        route the first time it is read and kept for the rest of the grid.
     sums: the line sums r; sums_or_one the same with 0 made 1.
     others: S0 - r, exact before its one rounding.
     zeros: the zero cells z_y of each line; other_zeros: z - z_y.
@@ -229,15 +233,24 @@ class _Lines:
     oracle's import about 1 ms.
     """
 
-    def __init__(self, own: float, sums: np.ndarray, total: np.uint64, zeros: np.ndarray):
-        """From A summed over the lines, the uint64 line sums, the uint64
-        total S0 and the float64 zero counts."""
-        self.own = own
+    def __init__(self, build_own, sums: np.ndarray, total: np.uint64, zeros: np.ndarray):
+        """From a function of no arguments that returns A summed over the
+        lines, the uint64 line sums, the uint64 total S0 and the float64 zero
+        counts."""
+        self._build_own = build_own
+        self._own = None
         self.sums = sums.astype(np.float64)
         self.sums_or_one = np.maximum(self.sums, 1.0)
         self.others = (total - sums).astype(np.float64)
         self.zeros = zeros
         self.other_zeros = float(zeros.sum()) - zeros
+
+    @property
+    def own(self) -> float:
+        """A summed over the lines, built on the first read."""
+        if self._own is None:
+            self._own = self._build_own()
+        return self._own
 
     def entropy(self, eps: float) -> float:
         """S ln 2 times this rater's entropy at eps."""
@@ -247,59 +260,98 @@ class _Lines:
 
     def conditional(self, eps: float) -> float:
         """S ln 2 times the entropy of the other rater given this one at eps."""
+        own = self.own  # read first: a build then runs before the temporaries below exist
         filled = self.zeros * eps
         grown = self.sums + filled
         terms = self.sums * np.log1p(filled / self.sums_or_one) + filled * np.log(grown / eps)
-        return self.own + float(np.add.reduce(terms))
+        return own + float(np.add.reduce(terms))
 
 
 def _line_stats(matrix: AgreementMatrix) -> tuple[float, float, _Lines, _Lines]:
-    """The once-per-matrix O(n**2) pass: S0, z, and the rows and columns as
-    _Lines. The histogram route is taken when the lines' count histograms,
-    (n, top + 1) tables, are at most a quarter of the matrix, and the
-    per-cell route otherwise (module docstring)."""
+    """The once-per-matrix O(n**2) work: S0, z, and the rows and columns as
+    _Lines. The histogram route is taken when a rater's count histogram, an
+    (n, top + 1) table, is at most a quarter of the matrix, and the per-cell
+    route otherwise (module docstring)."""
     total = np.uint64(matrix.total)
     by_histograms = 4 * (matrix.max_cell + 1) <= matrix.n
     rows, cols = (_lines_from_histograms if by_histograms else _lines_per_cell)(matrix, total)
     return float(total), float(rows.zeros.sum()), rows, cols
 
 
+def _zero_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 zero counts of the rows and of the columns of uint64
+    ``counts``, from one pass over blocks of whole rows, about _BLOCK_CELLS
+    cells each, through one reused byte buffer.
+
+    A block's marks are summed in the narrowest type that holds the count,
+    as a reduction that casts costs more: a column's part counts the
+    min(n, _BLOCK_CELLS // n) <= 181 rows of one block, so it fits in 8 bits;
+    a row's count of up to n cells takes 16, and 64 from n = 2**16 on.
+    """
+    n = counts.shape[0]
+    step = max(1, _BLOCK_CELLS // n)
+    marks = np.empty(min(step, n) * n, dtype=np.uint8)
+    per_row = np.empty(n, dtype=np.uint16 if n < 2**16 else np.uint64)
+    per_col = np.zeros(n)
+    col_part = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, step):
+        block = counts[start : start + step]
+        is_zero = marks[: block.size].reshape(block.shape)
+        np.equal(block, 0, out=is_zero.view(bool))
+        np.add.reduce(is_zero, axis=1, out=per_row[start : start + step])
+        np.add.reduce(is_zero, axis=0, out=col_part)
+        per_col += col_part
+    return per_row.astype(np.float64), per_col
+
+
+def _lines(matrix: AgreementMatrix, total: np.uint64, own) -> tuple[_Lines, _Lines]:
+    """The rows and columns of ``matrix`` as _Lines, with the line sums the
+    matrix kept and the zero counts of _zero_counts. A rater's A is
+    ``own(matrix, line sums, by_rows)``, built the first time it is read."""
+    row_zeros, col_zeros = _zero_counts(matrix.counts)
+    row_sums, col_sums = matrix.row_sums(), matrix.col_sums()
+    rows = _Lines(lambda: own(matrix, row_sums, True), row_sums, total, row_zeros)
+    cols = _Lines(lambda: own(matrix, col_sums, False), col_sums, total, col_zeros)
+    return rows, cols
+
+
 def _lines_per_cell(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, _Lines]:
     """The rows and columns of ``matrix``, whose counts sum to ``total``,
-    with one log1p per cell; the line sums are the matrix's kept ones.
+    with one log1p per cell of each rater whose A is read (_own_per_cell)."""
+    return _lines(matrix, total, _own_per_cell)
+
+
+def _own_per_cell(matrix: AgreementMatrix, sums: np.ndarray, by_rows: bool) -> float:
+    """A summed over the rows, or over the columns, of ``matrix``, whose
+    line sums are ``sums``: one log1p per cell.
 
     The cells go a block of whole rows at a time, about _BLOCK_CELLS cells,
     through three reused float64 block buffers: the counts as floats, the
     terms, and a scratch whose uint64 view holds the exact differences
-    r - c. Each rater's A is the sum of its blocks' sums.
+    r - c. A is the sum of its blocks' sums. The line sums are copied into
+    the scratch and the block subtracted from them there: a ufunc that
+    broadcasts would allocate a buffer of its own.
     """
     n = matrix.n
     step = max(1, _BLOCK_CELLS // n)
     buffers = [np.empty(min(step, n) * n) for _ in range(3)]
-    row_sums = matrix.row_sums()[:, None]
-    zeros_per_row = np.empty(n)
-    positive_per_col = np.zeros(n)
-    own = [0.0, 0.0]
+    own = 0.0
     for start in range(0, n, step):
         block = matrix.counts[start : start + step]
         cells, terms, scratch = (buf[: block.size].reshape(block.shape) for buf in buffers)
         np.copyto(cells, block)
-        # min(c, 1) marks the positive cells, in floats: no mask of the block
-        np.minimum(cells, 1.0, out=terms)
-        zeros_per_row[start : start + step] = n - np.add.reduce(terms, axis=1)
-        positive_per_col += np.add.reduce(terms, axis=0)
-        for i, sums in enumerate((row_sums[start : start + step], matrix.col_sums())):
-            # r - c is the sum of the line's other positive cells, so it is exact
-            np.subtract(sums, block, out=scratch.view(np.uint64))
-            np.copyto(terms, scratch.view(np.uint64))
-            # a zero cell divides by 1, and its 0 * log1p(r) adds nothing
-            np.maximum(cells, 1.0, out=scratch)
-            np.divide(terms, scratch, out=terms)
-            np.log1p(terms, out=terms)
-            np.multiply(terms, cells, out=terms)
-            own[i] += float(np.add.reduce(terms, axis=None))
-    rows = _Lines(own[0], matrix.row_sums(), total, zeros_per_row)
-    return rows, _Lines(own[1], matrix.col_sums(), total, n - positive_per_col)
+        # r - c is the sum of the line's other positive cells, so it is exact
+        differences = scratch.view(np.uint64)
+        np.copyto(differences, sums[start : start + step, None] if by_rows else sums)
+        np.subtract(differences, block, out=differences)
+        np.copyto(terms, differences)
+        # a zero cell divides by 1, and its 0 * log1p(r) adds nothing
+        np.maximum(cells, 1.0, out=scratch)
+        np.divide(terms, scratch, out=terms)
+        np.log1p(terms, out=terms)
+        np.multiply(terms, cells, out=terms)
+        own += float(np.add.reduce(terms, axis=None))
+    return own
 
 
 def _lines_from_histograms(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, _Lines]:
@@ -310,38 +362,67 @@ def _lines_from_histograms(matrix: AgreementMatrix, total: np.uint64) -> tuple[_
         A_y = sum over k >= 1 of h[y, k] * k * log1p((r_y - k) / k)
 
     where h[y, k] counts the cells equal to k in line y. The line sums are
-    the matrix's kept ones, and the zero counts come from the histograms.
+    the matrix's kept ones, and the zero counts of both raters come from one
+    pass, _zero_counts. A rater's (n, top + 1) table h is counted only when
+    its A is first read, which _evaluate does for the one rater H(lo | hi)
+    conditions on: one table per sweep, unless hi changes within the grid.
     """
+    return _lines(matrix, total, _own_from_histogram)
+
+
+def _own_from_histogram(matrix: AgreementMatrix, sums: np.ndarray, by_rows: bool) -> float:
+    """A summed over the rows, or over the columns, of ``matrix``, whose
+    line sums are ``sums``, from the lines' count histogram."""
     values = np.arange(1, matrix.max_cell + 1, dtype=np.int64)
-    line_sums = (matrix.row_sums(), matrix.col_sums())
-    lines = []
-    for hist, sums in zip(_histograms(matrix.counts, matrix.max_cell + 1), line_sums):
-        positive = hist[:, 1:]
-        # r_y <= n * top < n**2, so r_y - k is exact in float64. It is
-        # negative only where the line has no cell equal to k, h = 0, and is
-        # clipped to 0 there, so that log1p never sees -1
-        terms = np.subtract(sums[:, None], values, dtype=np.float64)
-        np.maximum(terms, 0.0, out=terms)
-        np.divide(terms, values, out=terms)
-        np.log1p(terms, out=terms)
-        positive *= values  # h * k, exact
-        terms *= positive
-        own = float(np.add.reduce(terms, axis=None))
-        lines.append(_Lines(own, sums, total, hist[:, 0].astype(np.float64)))
-    return lines[0], lines[1]
+    histogram = _row_histogram if by_rows else _col_histogram
+    positive = histogram(matrix.counts, matrix.max_cell + 1)[:, 1:]
+    # r_y <= n * top < n**2, so r_y - k is exact in float64. It is negative
+    # only where the line has no cell equal to k, h = 0, and is clipped to 0
+    # there, so that log1p never sees -1
+    terms = np.subtract(sums[:, None], values, dtype=np.float64)
+    np.maximum(terms, 0.0, out=terms)
+    np.divide(terms, values, out=terms)
+    np.log1p(terms, out=terms)
+    positive *= values  # h * k, exact
+    terms *= positive
+    return float(np.add.reduce(terms, axis=None))
 
 
-def _histograms(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, width) int64 count histograms of the rows and of the columns
-    of uint64 ``counts``, whose cells are all below ``width``.
+def _row_histogram(counts: np.ndarray, width: int) -> np.ndarray:
+    """The (n, width) int64 count histogram of the rows of uint64
+    ``counts``, whose cells are all below ``width``: each block's count
+    fills the table's rows for the block's rows."""
+    n = counts.shape[0]
+    hist = np.empty((n, width), dtype=np.int64)
+    offsets = np.arange(0, n * width, width, dtype=np.uint64)[:, None]
+    for start, keys in _keyed_blocks(counts, width, offsets):
+        rows = len(keys) // n
+        hist[start : start + rows] = np.bincount(keys, minlength=rows * width).reshape(rows, width)
+    return hist
 
-    np.bincount counts the keys line * width + c, made for a block of whole
-    rows at a time in one reused int64 buffer. A block has about
-    _BLOCK_CELLS cells, and at least as many as a table has bins: the
-    columns' table is the sum of every block's column counts, which then
-    cost no more to add up than to count. No temporary is bigger than the
-    larger of a block and a table. The columns are counted first, so their
-    table-sized temporaries come before the rows' table exists.
+
+def _col_histogram(counts: np.ndarray, width: int) -> np.ndarray:
+    """The (n, width) int64 count histogram of the columns of uint64
+    ``counts``, whose cells are all below ``width``: the sum of every
+    block's column counts."""
+    n = counts.shape[0]
+    hist = np.zeros((n, width), dtype=np.int64)
+    offsets = np.arange(0, n * width, width, dtype=np.uint64)[None, :]
+    for _, keys in _keyed_blocks(counts, width, offsets):
+        hist += np.bincount(keys, minlength=n * width).reshape(n, width)
+    return hist
+
+
+def _keyed_blocks(counts: np.ndarray, width: int, offsets: np.ndarray):
+    """For each block of whole rows of uint64 ``counts``, its first row and
+    the int64 keys line * width + c that np.bincount counts, where
+    ``offsets``, one line * width per row (n, 1) or per column (1, n), gives
+    the line.
+
+    The keys of every block share one int64 buffer. A block has about
+    _BLOCK_CELLS cells, and at least as many as a table has bins: a column
+    table's block counts then cost no more to add up than to count. No
+    temporary is bigger than the larger of a block and the table.
     """
     n = counts.shape[0]
     step = min(n, max(_BLOCK_CELLS // n, width))
@@ -350,22 +431,11 @@ def _histograms(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     # offsets are copied in and the counts added on top: a ufunc that
     # broadcasts would allocate a buffer of its own.
     as_u64 = keys.view(np.uint64)
-    col_hist = np.zeros(n * width, dtype=np.int64)
-    col_keys = np.arange(0, n * width, width, dtype=np.uint64)
     for start in range(0, n, step):
         block = as_u64[: min(step, n - start) * n].reshape(-1, n)
-        np.copyto(block, col_keys)
+        np.copyto(block, offsets[: len(block)])
         np.add(block, counts[start : start + len(block)], out=block)
-        col_hist += np.bincount(keys[: block.size], minlength=n * width)
-    row_hist = np.empty((n, width), dtype=np.int64)
-    row_keys = np.arange(0, step * width, width, dtype=np.uint64)[:, None]
-    for start in range(0, n, step):
-        block = as_u64[: min(step, n - start) * n].reshape(-1, n)
-        np.copyto(block, row_keys[: len(block)])
-        np.add(block, counts[start : start + len(block)], out=block)
-        counted = np.bincount(keys[: block.size], minlength=len(block) * width)
-        row_hist[start : start + len(block)] = counted.reshape(-1, width)
-    return row_hist, col_hist.reshape(n, width)
+        yield start, keys[: block.size]
 
 
 def _evaluate(

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 _BLOCKED = "tests/test_matrix.py::TestBlockedValidation"
 _PARSE_CSV = "tests/test_formats.py::TestParseCsv"
 _WORKERS = "tests/test_cli.py::TestBatchWorkers"
+_EVAL = "tests/test_oracle.py::TestEvalIaAt"
 
 MUTANTS = (
     Mutant(
@@ -83,7 +84,10 @@ MUTANTS = (
         "src/infoagree/_csv_digits.py",
         "digits.max() <= 9",
         "digits.max() <= 10",
-        (f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",),
+        (
+            f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",
+            "tests/test_formats.py::TestCsvDigitParserEquivalence::test_generated_single_digit_texts",
+        ),
     ),
     Mutant(
         # no line end matches its word, so the branch is dead and the
@@ -117,6 +121,30 @@ MUTANTS = (
         "or lines * n != fields",
         "or False",
         (f"{_PARSE_CSV}::test_single_digit_bodies_take_the_16_bit_branch",),
+    ),
+    Mutant(
+        # in a matrix of one row block the shapes still fit, and the columns
+        # get the rows' zero counts
+        "oracle-col-zeros-wrong-axis",
+        "src/infoagree/oracle.py",
+        "np.add.reduce(is_zero, axis=0, out=col_part)",
+        "np.add.reduce(is_zero, axis=1, out=col_part)",
+        (f"{_EVAL}::test_histogram_route_matches_the_reference",),
+    ),
+    Mutant(
+        "oracle-col-own-from-the-row-table",
+        "src/infoagree/oracle.py",
+        "lambda: own(matrix, col_sums, False)",
+        "lambda: own(matrix, row_sums, True)",
+        (f"{_EVAL}::test_histogram_route_matches_the_reference",),
+    ),
+    Mutant(
+        # every value is the same, only rebuilt at every epsilon: caught only by the spy
+        "oracle-own-not-kept",
+        "src/infoagree/oracle.py",
+        "self._own = self._build_own()",
+        "return self._build_own()",
+        ("tests/test_oracle.py::TestLazyTables::test_a_sweep_with_one_hi_rater_builds_one_table",),
     ),
     Mutant(
         "hist-kernel-blas-dot",

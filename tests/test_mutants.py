@@ -13,19 +13,25 @@ from mutants import MUTANTS, ROOT
 @functools.lru_cache(maxsize=None)
 def _defined_tests(path: str) -> frozenset[str]:
     """The node IDs, without parameters, of the test functions that the test
-    file at path (relative to the repository root) defines."""
+    file at path (relative to the repository root) defines; a class's tests
+    include those it inherits from classes of the same file."""
     with open(os.path.join(ROOT, path), encoding="utf-8") as f:
         tree = ast.parse(f.read())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def methods(cls: ast.ClassDef) -> set[str]:
+        own = {m.name for m in cls.body if isinstance(m, ast.FunctionDef) and m.name.startswith("test")}
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                own |= methods(classes[base.id])
+        return own
+
     ids = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
             ids.add(f"{path}::{node.name}")
         elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
-            ids.update(
-                f"{path}::{node.name}::{method.name}"
-                for method in node.body
-                if isinstance(method, ast.FunctionDef) and method.name.startswith("test")
-            )
+            ids.update(f"{path}::{node.name}::{name}" for name in methods(node))
     return frozenset(ids)
 
 

@@ -401,6 +401,70 @@ class TestSweep:
         assert _peak_bytes(lambda: sweep(m, DEFAULT_EPS_GRID)) < block + tables + 64 * 1024
 
 
+def _spy_on_table_builds(monkeypatch):
+    """The raters whose A either route builds, in order, as the by_rows
+    flags that end the builders' arguments."""
+    built = []
+    for name in ("_own_from_histogram", "_own_per_cell"):
+        real = getattr(infoagree.oracle, name)
+        monkeypatch.setattr(
+            infoagree.oracle, name, lambda *args, real=real: built.append(args[-1]) or real(*args)
+        )
+    return built
+
+
+def _flip_24():
+    """n = 24 on the histogram route: H(lo | hi) conditions on the columns
+    at 1e-2 and on the rows from 1e-30 on."""
+    rng = np.random.default_rng(514)
+    counts = rng.integers(0, 6, size=(24, 24))
+    counts[rng.random((24, 24)) < 0.5] = 0
+    return AgreementMatrix(counts)
+
+
+class TestLazyTables:
+    """A rater's A, the pass over its cells or its count table, is built the
+    first time H(lo | hi) conditions on it, and kept for the rest of the
+    grid."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            AgreementMatrix(np.random.default_rng(40).integers(0, 10, size=(40, 40))),
+            AgreementMatrix(np.random.default_rng(41).integers(0, 10, size=(40, 40)).T),
+            AgreementMatrix(np.random.default_rng(300).integers(0, 10, size=(300, 300))),
+            AgreementMatrix(np.random.default_rng(182).choice([0, 1, 7, 1000, 10**6], (182, 182))),
+            TABLE_SHAPED,
+        ],
+        ids=["hist-40", "hist-40-transposed", "hist-300", "per-cell-182", "table-shaped"],
+    )
+    def test_a_sweep_with_one_hi_rater_builds_one_table(self, monkeypatch, m):
+        built = _spy_on_table_builds(monkeypatch)
+        evs = sweep(m, DEFAULT_EPS_GRID)
+        by_rows = {ev.h_x < ev.h_y for ev in evs}
+        assert len(by_rows) == 1
+        assert built == list(by_rows)
+
+    @pytest.mark.parametrize(
+        "m",
+        [_flip_24(), AgreementMatrix([[4, 0, 4], [0, 2, 0], [0, 0, 4]])],
+        ids=["hist-24", "per-cell-3"],
+    )
+    def test_a_sweep_whose_hi_rater_changes_builds_both(self, monkeypatch, m):
+        built = _spy_on_table_builds(monkeypatch)
+        evs = sweep(m, DEFAULT_EPS_GRID)
+        first = evs[0].h_x < evs[0].h_y
+        assert {ev.h_x < ev.h_y for ev in evs[1:]} == {not first}
+        assert built == [first, not first]
+        fields = ("epsilon", "ia_value", "h_x", "h_y", "h_xy")
+        for ev in evs:
+            alone = eval_ia_at(zero_freed(m, ev.epsilon))
+            assert [float.hex(getattr(ev, f)) for f in fields] == [
+                float.hex(getattr(alone, f)) for f in fields
+            ]
+        _assert_matches_reference(m, evs, 1e-12)
+
+
 class TestCheckConvergence:
     def test_regular_case_tight_tolerance(self):
         m = AgreementMatrix([[2, 1], [0, 1]])
