@@ -34,18 +34,22 @@ the largest cell, top:
   number of cells equal to k in line y, A_y = sum over k >= 1 of
   h[y, k] * k * log1p((r_y - k) / k), one log1p per table entry. h * k and
   r_y - k are exact, as r_y < n**2. np.bincount counts the rater's table
-  _BLOCK_CELLS (2**15) cells at a time, through one reused int64 buffer.
-- Per-cell route, otherwise: one log1p per cell, a block of whole rows of
-  about _BLOCK_CELLS cells at a time, through three reused float64 block
+  through one int64 buffer.
+- Per-cell route, otherwise: one log1p per cell, through three float64
   buffers.
 
-Both routes read the line sums the matrix kept at construction, and
-neither makes a temporary of the matrix's shape. Measured with counts
-uniform in 0..top, the histogram route's time reaches the per-cell route's
-near top + 1 = n / 3 at n = 400, n / 4 to n / 5 at n = 800 and n / 6 to
-n / 8 at n = 1600; below n = 64 the two take about the same time. The two
-routes add the same terms in different groups, so their values can differ
-in the last bit or two.
+Both routes, and the zero-count pass, take the cells a row block at a time:
+min(n, max(_BLOCK_CELLS // n, m)) whole rows, about _BLOCK_CELLS (2**15)
+cells, with m = 1, or m = top + 1 for the histogram's keys. Each buffer has
+the shape of the first block and is reused by the others. Both routes read
+the line sums the matrix kept at construction, and neither makes a
+temporary of the matrix's shape.
+
+Measured with counts uniform in 0..top, the histogram route's time reaches
+the per-cell route's near top + 1 = n / 3 at n = 400, n / 4 to n / 5 at
+n = 800 and n / 6 to n / 8 at n = 1600; below n = 64 the two take about the
+same time. The two routes add the same terms in different groups, so their
+values can differ in the last bit or two.
 
 Epsilon must be finite and at least EPS_MIN = 2**64 times the smallest
 normal double; anything else is a NonPositiveEpsilonError. For a total
@@ -113,7 +117,8 @@ EPS_MIN = 2.0**64 * sys.float_info.min
 below 2**64, epsilon / total is still a normal double."""
 
 _BLOCK_CELLS = 2**15
-"""About how many cells either route takes at a time: 256 KiB per buffer."""
+"""About how many cells a row block holds (module docstring): 256 KiB per
+float64 buffer."""
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(1e-2, 1e-282, 11).tolist())
 """Geometric sweep grid, 1e-2 down to 1e-282 in steps of 28 decades; also
@@ -233,15 +238,17 @@ class _Lines:
     oracle's import about 1 ms.
     """
 
-    def __init__(self, build_own, sums: np.ndarray, total: np.uint64, zeros: np.ndarray):
-        """From a function of no arguments that returns A summed over the
-        lines, the uint64 line sums, the uint64 total S0 and the float64 zero
-        counts."""
-        self._build_own = build_own
+    def __init__(self, own, matrix: AgreementMatrix, by_rows: bool, zeros: np.ndarray):
+        """From the route's builder of A, ``own(matrix, line sums, by_rows)``;
+        the matrix, whose kept line sums are the rows' when ``by_rows`` and
+        the columns' otherwise; and the lines' float64 zero counts."""
+        sums = matrix.row_sums() if by_rows else matrix.col_sums()
+        self._build_own = own
+        self._own_args = (matrix, sums, by_rows)
         self._own = None
         self.sums = sums.astype(np.float64)
         self.sums_or_one = np.maximum(self.sums, 1.0)
-        self.others = (total - sums).astype(np.float64)
+        self.others = (np.uint64(matrix.total) - sums).astype(np.float64)
         self.zeros = zeros
         self.other_zeros = float(zeros.sum()) - zeros
 
@@ -249,7 +256,7 @@ class _Lines:
     def own(self) -> float:
         """A summed over the lines, built on the first read."""
         if self._own is None:
-            self._own = self._build_own()
+            self._own = self._build_own(*self._own_args)
         return self._own
 
     def entropy(self, eps: float) -> float:
@@ -269,80 +276,67 @@ class _Lines:
 
 def _line_stats(matrix: AgreementMatrix) -> tuple[float, float, _Lines, _Lines]:
     """The once-per-matrix O(n**2) work: S0, z, and the rows and columns as
-    _Lines. The histogram route is taken when a rater's count histogram, an
-    (n, top + 1) table, is at most a quarter of the matrix, and the per-cell
-    route otherwise (module docstring)."""
-    total = np.uint64(matrix.total)
-    by_histograms = 4 * (matrix.max_cell + 1) <= matrix.n
-    rows, cols = (_lines_from_histograms if by_histograms else _lines_per_cell)(matrix, total)
-    return float(total), float(rows.zeros.sum()), rows, cols
+    _Lines, whose A is built by the route that the route rule picks (module
+    docstring)."""
+    own = _own_from_histogram if 4 * (matrix.max_cell + 1) <= matrix.n else _own_per_cell
+    row_zeros, col_zeros = _zero_counts(matrix.counts)
+    rows = _Lines(own, matrix, True, row_zeros)
+    cols = _Lines(own, matrix, False, col_zeros)
+    return float(matrix.total), float(row_zeros.sum()), rows, cols
+
+
+def _row_blocks(counts: np.ndarray, min_rows: int, *dtypes):
+    """For each block of whole rows of ``counts`` (module docstring), every
+    block but the last at least ``min_rows`` rows: its first row, the block,
+    and one view of the block's shape per dtype, into a buffer made once and
+    reused by every block."""
+    n = counts.shape[0]
+    step = min(n, max(_BLOCK_CELLS // n, min_rows))
+    views = [np.empty((step, n), dtype=dtype) for dtype in dtypes]
+    for start in range(0, n, step):
+        block = counts[start : start + step]
+        if len(block) < step:  # only the last block can be shorter
+            views = [view[: len(block)] for view in views]
+        yield (start, block, *views)
 
 
 def _zero_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float64 zero counts of the rows and of the columns of uint64
-    ``counts``, from one pass over blocks of whole rows, about _BLOCK_CELLS
-    cells each, through one reused byte buffer.
+    ``counts``, from one pass over its row blocks through a byte buffer.
 
     A block's marks are summed in the narrowest type that holds the count,
-    as a reduction that casts costs more: a column's part counts the
-    min(n, _BLOCK_CELLS // n) <= 181 rows of one block, so it fits in 8 bits;
-    a row's count of up to n cells takes 16, and 64 from n = 2**16 on.
+    as a reduction that casts costs more: a column's part counts the at most
+    181 rows of one block, so it fits in 8 bits; a row's count of up to n
+    cells takes 16, and 64 from n = 2**16 on.
     """
     n = counts.shape[0]
-    step = max(1, _BLOCK_CELLS // n)
-    marks = np.empty(min(step, n) * n, dtype=np.uint8)
     per_row = np.empty(n, dtype=np.uint16 if n < 2**16 else np.uint64)
     per_col = np.zeros(n)
     col_part = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, step):
-        block = counts[start : start + step]
-        is_zero = marks[: block.size].reshape(block.shape)
+    for start, block, is_zero in _row_blocks(counts, 1, np.uint8):
         np.equal(block, 0, out=is_zero.view(bool))
-        np.add.reduce(is_zero, axis=1, out=per_row[start : start + step])
+        np.add.reduce(is_zero, axis=1, out=per_row[start : start + len(block)])
         np.add.reduce(is_zero, axis=0, out=col_part)
         per_col += col_part
     return per_row.astype(np.float64), per_col
-
-
-def _lines(matrix: AgreementMatrix, total: np.uint64, own) -> tuple[_Lines, _Lines]:
-    """The rows and columns of ``matrix`` as _Lines, with the line sums the
-    matrix kept and the zero counts of _zero_counts. A rater's A is
-    ``own(matrix, line sums, by_rows)``, built the first time it is read."""
-    row_zeros, col_zeros = _zero_counts(matrix.counts)
-    row_sums, col_sums = matrix.row_sums(), matrix.col_sums()
-    rows = _Lines(lambda: own(matrix, row_sums, True), row_sums, total, row_zeros)
-    cols = _Lines(lambda: own(matrix, col_sums, False), col_sums, total, col_zeros)
-    return rows, cols
-
-
-def _lines_per_cell(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, _Lines]:
-    """The rows and columns of ``matrix``, whose counts sum to ``total``,
-    with one log1p per cell of each rater whose A is read (_own_per_cell)."""
-    return _lines(matrix, total, _own_per_cell)
 
 
 def _own_per_cell(matrix: AgreementMatrix, sums: np.ndarray, by_rows: bool) -> float:
     """A summed over the rows, or over the columns, of ``matrix``, whose
     line sums are ``sums``: one log1p per cell.
 
-    The cells go a block of whole rows at a time, about _BLOCK_CELLS cells,
-    through three reused float64 block buffers: the counts as floats, the
-    terms, and a scratch whose uint64 view holds the exact differences
-    r - c. A is the sum of its blocks' sums. The line sums are copied into
-    the scratch and the block subtracted from them there: a ufunc that
-    broadcasts would allocate a buffer of its own.
+    The cells go a row block at a time through three float64 buffers: the
+    counts as floats, the terms, and a scratch whose uint64 view holds the
+    exact differences r - c. A is the sum of its blocks' sums. The line sums
+    are copied into the scratch and the block subtracted from them there: a
+    ufunc that broadcasts would allocate a buffer of its own.
     """
-    n = matrix.n
-    step = max(1, _BLOCK_CELLS // n)
-    buffers = [np.empty(min(step, n) * n) for _ in range(3)]
     own = 0.0
-    for start in range(0, n, step):
-        block = matrix.counts[start : start + step]
-        cells, terms, scratch = (buf[: block.size].reshape(block.shape) for buf in buffers)
+    for start, block, cells, terms, scratch in _row_blocks(matrix.counts, 1, *3 * [np.float64]):
         np.copyto(cells, block)
         # r - c is the sum of the line's other positive cells, so it is exact
         differences = scratch.view(np.uint64)
-        np.copyto(differences, sums[start : start + step, None] if by_rows else sums)
+        np.copyto(differences, sums[start : start + len(block), None] if by_rows else sums)
         np.subtract(differences, block, out=differences)
         np.copyto(terms, differences)
         # a zero cell divides by 1, and its 0 * log1p(r) adds nothing
@@ -352,22 +346,6 @@ def _own_per_cell(matrix: AgreementMatrix, sums: np.ndarray, by_rows: bool) -> f
         np.multiply(terms, cells, out=terms)
         own += float(np.add.reduce(terms, axis=None))
     return own
-
-
-def _lines_from_histograms(matrix: AgreementMatrix, total: np.uint64) -> tuple[_Lines, _Lines]:
-    """The rows and columns of ``matrix``, whose largest cell top is below n
-    and whose counts sum to ``total``, with one log1p per value a line can
-    hold rather than one per cell:
-
-        A_y = sum over k >= 1 of h[y, k] * k * log1p((r_y - k) / k)
-
-    where h[y, k] counts the cells equal to k in line y. The line sums are
-    the matrix's kept ones, and the zero counts of both raters come from one
-    pass, _zero_counts. A rater's (n, top + 1) table h is counted only when
-    its A is first read, which _evaluate does for the one rater H(lo | hi)
-    conditions on: one table per sweep, unless hi changes within the grid.
-    """
-    return _lines(matrix, total, _own_from_histogram)
 
 
 def _own_from_histogram(matrix: AgreementMatrix, sums: np.ndarray, by_rows: bool) -> float:
@@ -414,28 +392,22 @@ def _col_histogram(counts: np.ndarray, width: int) -> np.ndarray:
 
 
 def _keyed_blocks(counts: np.ndarray, width: int, offsets: np.ndarray):
-    """For each block of whole rows of uint64 ``counts``, its first row and
-    the int64 keys line * width + c that np.bincount counts, where
-    ``offsets``, one line * width per row (n, 1) or per column (1, n), gives
-    the line.
+    """For each row block of uint64 ``counts``, its first row and the flat
+    int64 keys line * width + c that np.bincount counts, where ``offsets``,
+    one line * width per row (n, 1) or per column (1, n), gives the line.
 
-    The keys of every block share one int64 buffer. A block has about
-    _BLOCK_CELLS cells, and at least as many as a table has bins: a column
-    table's block counts then cost no more to add up than to count. No
-    temporary is bigger than the larger of a block and the table.
+    A block has at least as many cells as a table has bins: a column table's
+    block counts then cost no more to add up than to count. No temporary is
+    bigger than the larger of a block and the table.
     """
-    n = counts.shape[0]
-    step = min(n, max(_BLOCK_CELLS // n, width))
-    keys = np.empty(step * n, dtype=np.int64)
     # bincount takes only signed keys; uint64 sums fill the same bytes. The
     # offsets are copied in and the counts added on top: a ufunc that
     # broadcasts would allocate a buffer of its own.
-    as_u64 = keys.view(np.uint64)
-    for start in range(0, n, step):
-        block = as_u64[: min(step, n - start) * n].reshape(-1, n)
-        np.copyto(block, offsets[: len(block)])
-        np.add(block, counts[start : start + len(block)], out=block)
-        yield start, keys[: block.size]
+    for start, block, keys in _row_blocks(counts, width, np.int64):
+        as_u64 = keys.view(np.uint64)
+        np.copyto(as_u64, offsets[: len(block)])
+        np.add(as_u64, block, out=as_u64)
+        yield start, keys.reshape(-1)
 
 
 def _evaluate(

@@ -40,6 +40,7 @@ _BLOCKED = "tests/test_matrix.py::TestBlockedValidation"
 _PARSE_CSV = "tests/test_formats.py::TestParseCsv"
 _WORKERS = "tests/test_cli.py::TestBatchWorkers"
 _EVAL = "tests/test_oracle.py::TestEvalIaAt"
+_RUN_EXIT = "tests/test_cli.py::TestRunExit"
 
 MUTANTS = (
     Mutant(
@@ -132,19 +133,39 @@ MUTANTS = (
         (f"{_EVAL}::test_histogram_route_matches_the_reference",),
     ),
     Mutant(
+        # the columns keep their own sums and zeros, but their A is the rows'
         "oracle-col-own-from-the-row-table",
         "src/infoagree/oracle.py",
-        "lambda: own(matrix, col_sums, False)",
-        "lambda: own(matrix, row_sums, True)",
+        "self._own_args = (matrix, sums, by_rows)",
+        "self._own_args = (matrix, matrix.row_sums(), True)",
         (f"{_EVAL}::test_histogram_route_matches_the_reference",),
     ),
     Mutant(
         # every value is the same, only rebuilt at every epsilon: caught only by the spy
         "oracle-own-not-kept",
         "src/infoagree/oracle.py",
-        "self._own = self._build_own()",
-        "return self._build_own()",
+        "self._own = self._build_own(*self._own_args)",
+        "return self._build_own(*self._own_args)",
         ("tests/test_oracle.py::TestLazyTables::test_a_sweep_with_one_hi_rater_builds_one_table",),
+    ),
+    Mutant(
+        # both routes give the value to 1e-15, so a spy on the builders is the sure catch
+        "oracle-route-rule-strict",
+        "src/infoagree/oracle.py",
+        "4 * (matrix.max_cell + 1) <= matrix.n",
+        "4 * (matrix.max_cell + 1) < matrix.n",
+        (f"{_EVAL}::test_route_on_each_side_of_the_rule",),
+    ),
+    Mutant(
+        # a matrix of one row block is unchanged
+        "oracle-row-blocks-first-row-zero",
+        "src/infoagree/oracle.py",
+        "yield (start, block,",
+        "yield (0, block,",
+        (
+            f"{_EVAL}::test_per_cell_route_in_row_blocks_matches_the_reference",
+            "tests/test_result_bits.py::test_oracle_rows_are_bit_identical",
+        ),
     ),
     Mutant(
         "hist-kernel-blas-dot",
@@ -152,6 +173,91 @@ MUTANTS = (
         "np.add.reduce(hist * table[0, :size] * table[1, :size])",
         "(hist * table[0, :size]) @ table[1, :size]",
         ("tests/test_kernels.py::test_hist_kernel_table_matches_per_call_log2",),
+    ),
+    Mutant(
+        "finalize-entropy-bound-exclusive",
+        "src/infoagree/_kernels.py",
+        "if h >= -slack:",
+        "if h > -slack:",
+        ("tests/test_kernels.py::TestFinalizeEntropy::test_absorbs_down_to_exactly_minus_slack",),
+    ),
+    Mutant(
+        "finalize-entropy-absorbs-nan",
+        "src/infoagree/_kernels.py",
+        "if h >= -slack:",
+        "if not h < -slack:",
+        ("tests/test_kernels.py::TestFinalizeEntropy::test_nan_raises",),
+    ),
+    Mutant(
+        "absorb-rounding-upper-bound-exclusive",
+        "src/infoagree/measure.py",
+        "if 1.0 < value <= 1.0 + ROUNDING_TOL:",
+        "if 1.0 < value < 1.0 + ROUNDING_TOL:",
+        ("tests/test_measure.py::TestAbsorbRounding::test_absorbs_up_to_exactly_one_plus_rounding_tol",),
+    ),
+    Mutant(
+        "exit-other-threads-ignored",
+        "src/infoagree/cli.py",
+        "    return _other_threads_run()\n",
+        "    return False\n",
+        (f"{_RUN_EXIT}::test_falls_back_to_sys_exit",),
+    ),
+    Mutant(
+        "exit-pythoninspect-ignored",
+        "src/infoagree/cli.py",
+        'if sys.flags.inspect or os.environ.get("PYTHONINSPECT"):',
+        "if sys.flags.inspect:",
+        (f"{_RUN_EXIT}::test_falls_back_to_sys_exit",),
+    ),
+    Mutant(
+        "run-second-flush-skipped",
+        "src/infoagree/cli.py",
+        "if _flush_std_streams():  # what the callbacks wrote",
+        "if True:",
+        ("tests/test_cli.py::TestRunFallbacksInProcess::test_a_failed_flush_after_the_callbacks",),
+    ),
+    Mutant(
+        "run-atexit-callbacks-skipped",
+        "src/infoagree/cli.py",
+        "        run_exitfuncs()\n",
+        "        pass\n",
+        (f"{_RUN_EXIT}::test_skips_the_teardown_after_the_atexit_callbacks",),
+    ),
+    Mutant(
+        # a first line of counts with a 0 becomes a label row
+        "label-test-with-all",
+        "src/infoagree/formats.py",
+        "if None in map(_field_count, head):",
+        "if not all(map(_field_count, head)):",
+        (f"{_PARSE_CSV}::test_matrix_errors_propagate",),
+    ),
+    Mutant(
+        "line-break-without-vt",
+        "src/infoagree/formats.py",
+        '_LINE_BREAK = re.compile(r"[\\n\\v',
+        '_LINE_BREAK = re.compile(r"[\\n',
+        (f"{_PARSE_CSV}::test_label_row_ended_by_another_line_break_takes_the_array_path",),
+    ),
+    Mutant(
+        "distribution-eq-class-blind",
+        "src/infoagree/infotheory.py",
+        "if type(other) is not type(self):",
+        "if not isinstance(other, CategoricalDistribution):",
+        ("tests/test_infotheory.py::TestDistributionEquality::test_a_refined_distribution_is_not_its_unrefined_source",),
+    ),
+    Mutant(
+        "write-output-single-raw-write",
+        "src/infoagree/cli.py",
+        "    while data:\n        data = data[raw.write(data) :]\n",
+        "    raw.write(data)\n",
+        ("tests/test_cli.py::TestWriteOutputToRawStdout::test_every_byte_of_the_report_is_written",),
+    ),
+    Mutant(
+        "write-output-returns-on-closed-stdout",
+        "src/infoagree/cli.py",
+        'raise OSError(errno.EBADF, "stdout is closed")',
+        "return",
+        (f"{_RUN_EXIT}::test_a_closed_stdout_is_bad_input",),
     ),
     Mutant(
         "batch-slice-bound-off-by-one",

@@ -221,10 +221,10 @@ class TestEvalIaAt:
     @pytest.mark.parametrize(
         "top, route",
         [
-            (1, "_lines_from_histograms"),
-            (2, "_lines_per_cell"),
-            (7, "_lines_per_cell"),
-            (8, "_lines_per_cell"),
+            (1, "_own_from_histogram"),
+            (2, "_own_per_cell"),
+            (7, "_own_per_cell"),
+            (8, "_own_per_cell"),
         ],
     )
     def test_route_on_each_side_of_the_rule(self, monkeypatch, top, route):
@@ -233,7 +233,7 @@ class TestEvalIaAt:
         rows[0] = [0] * 8
         m = AgreementMatrix(rows)
         taken = []
-        for name in ("_lines_from_histograms", "_lines_per_cell"):
+        for name in ("_own_from_histogram", "_own_per_cell"):
             real = getattr(infoagree.oracle, name)
             monkeypatch.setattr(
                 infoagree.oracle,
@@ -249,13 +249,10 @@ class TestEvalIaAt:
     @example(AgreementMatrix(np.random.default_rng(300).integers(0, 10, size=(300, 300))))
     @example(AgreementMatrix(np.random.default_rng(200).integers(0, 50, size=(200, 200)).T))
     def test_the_routes_agree(self, m):
-        total = np.uint64(m.total)
-        by_cells = infoagree.oracle._lines_per_cell(m, total)
-        by_hists = infoagree.oracle._lines_from_histograms(m, total)
-        for by_cell, by_hist in zip(by_cells, by_hists):
-            for name in ("sums", "sums_or_one", "others", "zeros", "other_zeros"):
-                assert np.array_equal(getattr(by_hist, name), getattr(by_cell, name)), name
-            assert by_hist.own == pytest.approx(by_cell.own, rel=1e-15, abs=0.0)
+        for sums, by_rows in [(m.row_sums(), True), (m.col_sums(), False)]:
+            by_cell = infoagree.oracle._own_per_cell(m, sums, by_rows)
+            by_hist = infoagree.oracle._own_from_histogram(m, sums, by_rows)
+            assert by_hist == pytest.approx(by_cell, rel=1e-15, abs=0.0)
 
     @given(agreement_matrices(), st.sampled_from([1e-2, 1e-5, 1e-9]))
     @example(AgreementMatrix([[0, 0], [1, 0]]), 1e-9)
@@ -399,6 +396,29 @@ class TestSweep:
         tables = 2 * n * (m.max_cell + 1) * 8
         block = infoagree.oracle._BLOCK_CELLS * 8
         assert _peak_bytes(lambda: sweep(m, DEFAULT_EPS_GRID)) < block + tables + 64 * 1024
+
+
+@pytest.mark.parametrize("n", [2, 181, 182, 300])
+@pytest.mark.parametrize("share", [None, 4, 2], ids=["one-row", "quarter", "half"])
+def test_row_blocks_cover_the_rows_in_order_through_reused_buffers(n, share):
+    # min_rows = n // 2 binds at n = 300, where _BLOCK_CELLS // n is 109
+    min_rows = 1 if share is None else n // share
+    counts = np.arange(n * n, dtype=np.uint64).reshape(n, n)
+    dtypes = (np.uint8, np.float64, np.int64)
+    starts, addresses = [], []
+    for start, block, *views in infoagree.oracle._row_blocks(counts, min_rows, *dtypes):
+        starts.append(start)
+        assert np.array_equal(block, counts[start : start + len(block)])
+        for view, dtype in zip(views, dtypes, strict=True):
+            assert view.shape == block.shape
+            assert view.dtype == dtype
+        addresses.append([view.__array_interface__["data"][0] for view in views])
+    sizes = np.diff([*starts, n])
+    assert starts[0] == 0 and all(sizes > 0)  # every row once, in order
+    most = max(infoagree.oracle._BLOCK_CELLS // n, min_rows)
+    assert all(min_rows <= size <= most for size in sizes[:-1])
+    assert sizes[-1] <= most
+    assert all(row == addresses[0] for row in addresses)
 
 
 def _spy_on_table_builds(monkeypatch):
