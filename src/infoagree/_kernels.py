@@ -24,11 +24,16 @@ entries are positive says so, which spares the mask and the compress when
 all are, and the histogram kernel reads k and log2(k) from a table built at import
 instead of building them each time. Neither changes a bit of the result.
 
-np.bincount takes only a writeable array and silently copies any other,
-so counting a validated matrix's read-only cells in one call would copy all
-of them: 5 MB at n = 800. The histogram kernel therefore counts its input
-in slices of _SLICE_CELLS (2**15) cells, whose copies stay cache-sized,
-into one histogram; the counts, and so the result, are the same.
+The blocked loops take about _SLICE_CELLS (2**15) cells at a time, so that
+each block's copies and scratch stay cache-sized. The block rule has its
+one home in _row_blocks: a 2-d array goes in blocks of
+max(1, _SLICE_CELLS // cols) whole rows, the last block shorter when the
+rows do not divide evenly. _xlog2_ratio_sum and matrix._blocked_stats
+iterate it. The histogram kernel alone takes flat slices instead, of at
+least _SLICE_CELLS counts: np.bincount takes only a writeable array and
+silently copies any other, so counting a validated matrix's read-only
+cells in one call would copy all of them, 5 MB at n = 800. It counts the
+slices into one histogram; the counts, and so the result, are the same.
 
 Call sites look the kernel up at call time as ``_kernels.xlog2_sum(...)``
 instead of binding it with ``from infoagree._kernels import xlog2_sum``, and
@@ -89,9 +94,8 @@ def _log2_table(size: int) -> np.ndarray:
 _LOG2_TABLE = _log2_table(2048)
 
 _SLICE_CELLS = 2**15
-"""How many cells a blocked loop takes at a time: 256 KiB of 8-byte values.
-The histogram kernel hands np.bincount slices of at least this many counts,
-and _xlog2_ratio_sum takes row blocks of about this many cells."""
+"""How many cells a blocked loop takes at a time, 256 KiB of 8-byte values
+(module docstring). Read at call time, so a test can shrink the blocks."""
 
 
 def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
@@ -121,6 +125,20 @@ def xlog2_sum_hist(counts: np.ndarray, top: int) -> float:
     return float(np.add.reduce(hist * table[0, :size] * table[1, :size]))
 
 
+def _row_blocks(cells: np.ndarray, *dtypes):
+    """For each block of whole rows of the 2-d ``cells`` (module docstring),
+    in order: the block's rows as a slice, and one view of the block's shape
+    per dtype, into a buffer made once and reused by every block; None for a
+    dtype given as None."""
+    rows, cols = cells.shape
+    step = min(rows, max(1, _SLICE_CELLS // cols))
+    views = [None if dtype is None else np.empty((step, cols), dtype) for dtype in dtypes]
+    for start in range(0, rows, step):
+        if rows - start < step:  # only the last block can be shorter
+            views = [None if view is None else view[: rows - start] for view in views]
+        yield (slice(start, start + step), *views)
+
+
 def _xlog2_ratio_sum(
     cells: np.ndarray,
     a: np.ndarray,
@@ -137,30 +155,25 @@ def _xlog2_ratio_sum(
     formed as counts / total in a second scratch buffer; those are the bits
     infotheory.joint would hold, so the sum is the same.
 
-    The rows are taken in blocks of about _SLICE_CELLS cells, each
-    worked in reused scratch of 256 KiB and summed on its own, and the
-    blocks' sums are added in row order. With ``refined``, the support p > 0 is masked a block at a
-    time in one reused mask. So no temporary has p's shape. A masked cell
-    has p = 0 and a ratio of 1, so a block's sum adds nothing for it.
-    NumPy's pairwise sum, unlike a BLAS dot product, gives the same bits
-    for any thread count.
+    The rows are taken in _row_blocks' blocks, each worked in reused
+    scratch and summed on its own, and the blocks' sums are added in row
+    order. With ``refined``, the support p > 0 is masked a block at a time
+    in one reused mask. So no temporary has p's shape. A masked cell has
+    p = 0 and a ratio of 1, so a block's sum adds nothing for it. NumPy's
+    pairwise sum, unlike a BLAS dot product, gives the same bits for any
+    thread count.
     """
-    rows, cols = cells.shape
-    step = max(1, _SLICE_CELLS // cols)
-    scratch = np.empty((min(step, rows), cols))
-    probs = None if total is None else np.empty(scratch.shape)
-    support = np.empty(scratch.shape, dtype=bool) if refined else None
     acc = 0.0
-    for start in range(0, rows, step):
-        block = cells[start : start + step]
+    dtypes = (np.float64, None if total is None else np.float64, bool if refined else None)
+    for rows, ratio, probs, support in _row_blocks(cells, *dtypes):
+        block = cells[rows]
         if probs is not None:
-            block = np.divide(block, total, out=probs[: len(block)])
-        ratio = scratch[: len(block)]
+            block = np.divide(block, total, out=probs)
         where = True
         if refined:
-            where = np.greater(block, 0.0, out=support[: len(block)])
+            where = np.greater(block, 0.0, out=support)
             ratio.fill(1.0)
-        np.divide(block, a[start : start + step, None], out=ratio, where=where)
+        np.divide(block, a[rows, None], out=ratio, where=where)
         if b is not None:
             np.divide(ratio, b, out=ratio, where=where)
         np.log2(ratio, out=ratio, where=where)

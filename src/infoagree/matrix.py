@@ -9,8 +9,8 @@ Instances are immutable once constructed (the backing array is marked
 read-only), so they can be shared freely across threads.
 
 Both validation paths live here: whole-array reductions for a small matrix,
-and one pass over row blocks (_blocked_stats) for a large one. They share
-_cell_stats and _raise_first_negative.
+and one pass over the row blocks of _kernels._row_blocks (_blocked_stats)
+for a large one. They share _cell_stats and _raise_first_negative.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def _cell_stats(arr: np.ndarray):
 
 def _blocked_stats(src: np.ndarray, copy: bool):
     """The counts and statistics AgreementMatrix keeps for a square integer
-    array src, from one pass over row blocks of about _kernels._SLICE_CELLS
-    cells: (counts, max_cell, row_sums, col_sums, positive_cells, total), as
+    array src, from one pass over the row blocks of _kernels._row_blocks:
+    (counts, max_cell, row_sums, col_sums, positive_cells, total), as
     _cell_stats gives them for the whole counts. The counts are those
     AgreementMatrix._adopt keeps; a negative cell raises NegativeCellError.
 
@@ -229,18 +229,17 @@ def _blocked_stats(src: np.ndarray, copy: bool):
         counts = np.empty((n, n), np.uint64)
     else:
         counts = src
-    step = max(1, _kernels._SLICE_CELLS // n)
     row_sums = np.empty(n, np.uint64)
     col_sums = np.zeros(n, np.uint64)
     max_cell = positive_cells = total = 0
-    for lo in range(0, n, step):
-        block = counts[lo : lo + step]
+    for (rows,) in _kernels._row_blocks(counts):
+        block = counts[rows]
         if counts is not src:
-            part = src[lo : lo + step]
+            part = src[rows]
             if src.dtype.kind == "i":
-                _raise_first_negative(part, lo)
+                _raise_first_negative(part, rows.start)
             np.copyto(block, part, casting="unsafe")
-        top, row_sums[lo : lo + step], col_part, cells, part_total = _cell_stats(block)
+        top, row_sums[rows], col_part, cells, part_total = _cell_stats(block)
         np.add(col_sums, col_part, out=col_sums)
         max_cell = max(max_cell, top)
         positive_cells += cells

@@ -60,9 +60,35 @@ MUTANTS = (
     Mutant(
         "blocked-negative-without-row-offset",
         "src/infoagree/matrix.py",
-        "_raise_first_negative(part, lo)",
+        "_raise_first_negative(part, rows.start)",
         "_raise_first_negative(part, 0)",
         ("tests/test_matrix.py::TestConstruction::test_negative_cell_is_named_by_its_row_in_the_matrix",),
+    ),
+    Mutant(
+        # four cells of 2**62 then sum to 2**64, which wraps to 0 in 64 bits
+        "exact-total-bound-widened",
+        "src/infoagree/matrix.py",
+        "max_cell <= U64_MAX // arr.size",
+        "max_cell <= 2 * U64_MAX // arr.size",
+        ("tests/test_matrix.py::TestExactTotal::test_total_from_2_64_rejected",),
+    ),
+    Mutant(
+        "kernels-row-blocks-first-row-zero",
+        "src/infoagree/_kernels.py",
+        "slice(start, start + step)",
+        "slice(0, start + step)",
+        (
+            "tests/test_kernels.py::test_row_blocks_cover_the_rows_in_order_through_reused_buffers",
+            f"{_BLOCKED}::test_statistics_combine_across_blocks",
+        ),
+    ),
+    Mutant(
+        # the same step as long as the rows are the columns
+        "kernels-row-blocks-step-by-rows",
+        "src/infoagree/_kernels.py",
+        "step = min(rows, max(1, _SLICE_CELLS // cols))",
+        "step = min(rows, max(1, _SLICE_CELLS // rows))",
+        ("tests/test_kernels.py::test_row_blocks_cover_the_rows_in_order_through_reused_buffers",),
     ),
     Mutant(
         "blank-run-strips-only-spaces",
@@ -189,11 +215,25 @@ MUTANTS = (
         ("tests/test_kernels.py::TestFinalizeEntropy::test_nan_raises",),
     ),
     Mutant(
+        "finalize-entropy-keeps-negative-zero",
+        "src/infoagree/_kernels.py",
+        "return h + 0.0  # normalizes -0.0",
+        "return h",
+        ("tests/test_kernels.py::TestFinalizeEntropy::test_negative_zero_comes_back_positive",),
+    ),
+    Mutant(
         "absorb-rounding-upper-bound-exclusive",
         "src/infoagree/measure.py",
         "if 1.0 < value <= 1.0 + ROUNDING_TOL:",
         "if 1.0 < value < 1.0 + ROUNDING_TOL:",
         ("tests/test_measure.py::TestAbsorbRounding::test_absorbs_up_to_exactly_one_plus_rounding_tol",),
+    ),
+    Mutant(
+        "absorb-rounding-upper-bound-widened",
+        "src/infoagree/measure.py",
+        "if 1.0 < value <= 1.0 + ROUNDING_TOL:",
+        "if 1.0 < value <= 1.0 + 2 * ROUNDING_TOL:",
+        ("tests/test_measure.py::TestAbsorbRounding::test_raises_beyond_the_tolerance",),
     ),
     Mutant(
         "exit-other-threads-ignored",
@@ -207,6 +247,14 @@ MUTANTS = (
         "src/infoagree/cli.py",
         'if sys.flags.inspect or os.environ.get("PYTHONINSPECT"):',
         "if sys.flags.inspect:",
+        (f"{_RUN_EXIT}::test_falls_back_to_sys_exit",),
+    ),
+    Mutant(
+        # a trace or profile hook set before the CLI runs is then not seen
+        "exit-hook-ignored",
+        "src/infoagree/cli.py",
+        "    if _hook_is_set():\n        return True\n",
+        "",
         (f"{_RUN_EXIT}::test_falls_back_to_sys_exit",),
     ),
     Mutant(
@@ -237,6 +285,13 @@ MUTANTS = (
         '_LINE_BREAK = re.compile(r"[\\n\\v',
         '_LINE_BREAK = re.compile(r"[\\n',
         (f"{_PARSE_CSV}::test_label_row_ended_by_another_line_break_takes_the_array_path",),
+    ),
+    Mutant(
+        "load-document-keeps-the-bom",
+        "src/infoagree/formats.py",
+        "skip = len(_UTF8_BOM) if data.startswith(_UTF8_BOM) else 0",
+        "skip = 0",
+        ("tests/test_formats.py::TestLoadDocument::test_a_leading_utf8_bom_is_dropped",),
     ),
     Mutant(
         "distribution-eq-class-blind",

@@ -194,6 +194,35 @@ def test_hist_kernel_copies_no_more_than_a_slice_of_read_only_counts():
     assert peak < _kernels._SLICE_CELLS * 8 + 64 * 1024
 
 
+@pytest.mark.parametrize("slice_cells", [_kernels._SLICE_CELLS, 1], ids=["2**15", "1"])
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2), (181, 181), (182, 182), (300, 7), (7, 40000), (40000, 1)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_row_blocks_cover_the_rows_in_order_through_reused_buffers(monkeypatch, shape, slice_cells):
+    monkeypatch.setattr(_kernels, "_SLICE_CELLS", slice_cells)
+    rows, cols = shape
+    dtypes = (np.float64, None, bool, np.uint64)
+    cells = np.zeros(shape, np.uint64)
+    starts, lengths, addresses = [], [], []
+    for block, *views in _kernels._row_blocks(cells, *dtypes):
+        starts.append(block.start)
+        lengths.append(len(cells[block]))
+        for view, dtype in zip(views, dtypes, strict=True):
+            if dtype is None:
+                assert view is None
+            else:
+                assert view.shape == cells[block].shape
+                assert view.dtype == dtype
+        addresses.append([view.__array_interface__["data"][0] for view in views if view is not None])
+    sizes = np.diff([*starts, rows])
+    assert starts[0] == 0 and all(sizes > 0) and list(sizes) == lengths  # every row once, in order
+    step = max(1, slice_cells // cols)
+    assert all(sizes[:-1] == step) and sizes[-1] <= step
+    assert all(row == addresses[0] for row in addresses)
+
+
 class TestFinalizeEntropy:
     """The safety branches of _finalize_entropy, which no valid matrix
     reaches: a small negative entropy is rounding, anything below is a bug."""
